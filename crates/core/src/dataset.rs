@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use tiara_gnn::GraphSample;
 use tiara_ir::{ContainerClass, DebugInfo, Program, VarAddr, VarRecord};
 use tiara_par::Executor;
-use tiara_slice::{sslice, tslice_with, Slice, TsliceConfig};
+use tiara_slice::{sslice, tslice_with_facts, ProgramFacts, Slice, TsliceConfig};
 
 /// Which slicing algorithm feeds the classifier: TSLICE (TIARA proper) or
 /// SSLICE (the `TIARA_SSLICE` baseline of RQ3).
@@ -38,9 +38,15 @@ impl Default for Slicer {
 impl Slicer {
     /// Runs the slicer for one variable.
     pub fn run(&self, prog: &Program, addr: VarAddr) -> Slice {
+        self.run_with_facts(&ProgramFacts::new(prog), addr)
+    }
+
+    /// [`Slicer::run`] over per-program facts shared across the variables
+    /// of one program (see [`ProgramFacts`]).
+    pub fn run_with_facts(&self, facts: &ProgramFacts<'_>, addr: VarAddr) -> Slice {
         match self {
-            Slicer::Tslice(cfg) => tslice_with(prog, addr, cfg).slice,
-            Slicer::Sslice => sslice(prog, addr),
+            Slicer::Tslice(cfg) => tslice_with_facts(facts, addr, cfg).slice,
+            Slicer::Sslice => sslice(facts.program(), addr),
         }
     }
 
@@ -112,9 +118,10 @@ impl Dataset {
         let records: Vec<VarRecord> = debug.iter().copied().collect();
         let prog_fp = slice_cache::program_fingerprint(prog);
         let slicer_fp = slice_cache::slicer_fingerprint(slicer);
+        let facts = ProgramFacts::new(prog);
         let samples = exec.par_map(&records, |_, rec| {
             let slice = slice_cache::get_or_slice(prog_fp, slicer_fp, rec.addr, || {
-                slicer.run(prog, rec.addr)
+                slicer.run_with_facts(&facts, rec.addr)
             });
             let graph = slice_to_graph(prog, &slice, rec.class.index() as u32);
             Sample {

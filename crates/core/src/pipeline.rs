@@ -268,6 +268,9 @@ impl Tiara {
             }
         }
         let slicer_fp = slice_cache::slicer_fingerprint(&self.slicer);
+        // Per-program slicer facts, shared by the whole batch and computed
+        // on the first cache miss that needs them.
+        let facts = tiara_slice::ProgramFacts::new(prog);
         // Stage 1 — slice and encode, parallel per address.
         let sliced = exec.par_map(addrs, |_, &addr| {
             let spills_before = tiara_slice::thread_spills();
@@ -275,7 +278,7 @@ impl Tiara {
             let slice =
                 slice_cache::get_or_slice(program_fp, slicer_fp, addr, || match &self.slicer {
                     Slicer::Tslice(cfg) => {
-                        let out = tiara_slice::tslice_with(prog, addr, cfg);
+                        let out = tiara_slice::tslice_with_facts(&facts, addr, cfg);
                         stats = out.stats;
                         out.slice
                     }

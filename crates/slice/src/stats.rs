@@ -6,12 +6,12 @@
 //!   [`crate::TsliceOutput`], cheap plain fields bumped inline by the
 //!   traversal loop.
 //! * a process-wide aggregate ([`add_to_global`] / [`global_stats`]) that
-//!   survives across the many slices of a dataset build, so `tiara analyze`
-//!   and `tiara-eval bench` can report totals without threading state
-//!   through every caller.
+//!   survives across the many slices of a dataset build, so a caller such
+//!   as the perfbench harness can report totals without threading state
+//!   through every call.
 //!
 //! Value-set spills are counted through a thread-local ([`note_spill`]):
-//! `ValueSet::insert` has no handle on any stats struct, and each slice runs
+//! `ValueSet` has no handle on any stats struct, and each slice runs
 //! to completion on a single executor thread, so a before/after read of the
 //! thread-local attributes spills to the right slice without contention.
 

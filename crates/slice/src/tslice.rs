@@ -57,8 +57,9 @@ use crate::stats::SliceStats;
 use crate::trace::{RuleName, TraceEvent};
 use crate::value::{AbsValue, ValueSet};
 use crate::TsliceConfig;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::OnceLock;
 use tiara_dataflow::{escape::TRACKED_ARGS, FuncSummary, MustWrite, ProgramSummaries};
 use tiara_ir::{CallTarget, InstId, InstKind, Program, Reg, VarAddr};
 
@@ -108,22 +109,75 @@ pub fn tslice(prog: &Program, v0: VarAddr) -> Slice {
     tslice_with(prog, v0, &TsliceConfig::default()).slice
 }
 
+/// The per-program facts TSLICE consults: the callee mod-ref summaries
+/// ([`tiara_dataflow::summarize_program`]) behind
+/// [`TsliceConfig::use_call_summaries`], and the VSA must-write kills
+/// ([`tiara_dataflow::must_writes`]) behind [`TsliceConfig::use_vsa`].
+///
+/// Both are deterministic functions of the program alone, so the traversal
+/// stays a pure function of (program, criterion, config) however they are
+/// shared. Each is computed on first use: callers that slice many criteria
+/// of one program build one `ProgramFacts` and pay for the facts at most
+/// once, and a run that needs neither (the default configuration) pays
+/// nothing. The cells are thread-safe, so one value serves a parallel batch.
+#[derive(Debug)]
+pub struct ProgramFacts<'p> {
+    prog: &'p Program,
+    summaries: OnceLock<ProgramSummaries>,
+    /// The must-write fact of each instruction, indexed by [`InstId`].
+    kills: OnceLock<Vec<Option<MustWrite>>>,
+}
+
+impl<'p> ProgramFacts<'p> {
+    /// Facts for `prog`, none computed yet.
+    pub fn new(prog: &'p Program) -> ProgramFacts<'p> {
+        ProgramFacts { prog, summaries: OnceLock::new(), kills: OnceLock::new() }
+    }
+
+    /// The program the facts describe.
+    pub fn program(&self) -> &'p Program {
+        self.prog
+    }
+
+    /// The callee mod-ref summaries, computed on first call.
+    fn summaries(&self) -> &ProgramSummaries {
+        self.summaries.get_or_init(|| tiara_dataflow::summarize_program(self.prog))
+    }
+
+    /// The VSA must-write fact of every instruction, indexed by
+    /// [`InstId`], computed on first call.
+    pub fn kills(&self) -> &[Option<MustWrite>] {
+        self.kills.get_or_init(|| {
+            let mut table = vec![None; self.prog.num_insts()];
+            for (id, mw) in tiara_dataflow::must_writes(self.prog) {
+                table[id.0 as usize] = Some(mw);
+            }
+            table
+        })
+    }
+}
+
 /// Runs TSLICE with an explicit configuration.
+///
+/// Computes the per-program facts `cfg` needs for this one run; to slice
+/// several criteria of one program, share them through
+/// [`tslice_with_facts`].
 pub fn tslice_with(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> TsliceOutput {
+    tslice_with_facts(&ProgramFacts::new(prog), v0, cfg)
+}
+
+/// Runs TSLICE over per-program facts shared across criteria. The output
+/// is identical to [`tslice_with`] on the same program.
+pub fn tslice_with_facts(
+    facts: &ProgramFacts<'_>,
+    v0: VarAddr,
+    cfg: &TsliceConfig,
+) -> TsliceOutput {
+    let prog = facts.program();
     let crit = Criterion::new(v0, cfg.criterion_window);
-    // Bottom-up mod-ref summaries for summary edges. Computed once per run;
-    // `summarize_program` is deterministic, so the whole traversal stays a
-    // pure function of (program, criterion, config).
-    let summaries: Option<ProgramSummaries> =
-        cfg.use_call_summaries.then(|| tiara_dataflow::summarize_program(prog));
-    let summaries = summaries.as_ref();
-    // VSA must-write facts for `[Mov-dr-kill]`. Like the summaries, the map
-    // is computed once per run and `must_writes` is deterministic, so each
-    // fact is a static per-instruction constant and the traversal remains a
-    // pure function of (program, criterion, config).
-    let kills: Option<BTreeMap<InstId, MustWrite>> =
-        cfg.use_vsa.then(|| tiara_dataflow::must_writes(prog));
-    let kill_for = |i: InstId| kills.as_ref().and_then(|m| m.get(&i).copied());
+    let summaries = cfg.use_call_summaries.then(|| facts.summaries());
+    let kills = cfg.use_vsa.then(|| facts.kills());
+    let kill_for = |i: InstId| kills.and_then(|k| k[i.0 as usize]);
     let mut st = AnalysisState::new();
     let mut trace: Vec<TraceEvent> = Vec::new();
     let mut fired: Vec<RuleName> = Vec::new();

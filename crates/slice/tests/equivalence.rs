@@ -7,7 +7,9 @@
 //! These tests drive both paths over synthetic binaries and compare outputs
 //! structurally (`Slice` and `TraceEvent` are `PartialEq`).
 
-use tiara_slice::{tslice_with, DecayFunction, TsliceConfig, TsliceOutput};
+use tiara_slice::{
+    tslice_with, tslice_with_facts, DecayFunction, ProgramFacts, TsliceConfig, TsliceOutput,
+};
 use tiara_synth::{generate, ProjectSpec, TypeCounts};
 
 /// A small-but-varied project: every container class, a few dozen variables,
@@ -124,6 +126,34 @@ fn vsa_mode_stays_equivalent_on_computed_address_projects() {
             }
         }
     }
+}
+
+#[test]
+fn shared_program_facts_match_per_call_slicing() {
+    // One `ProgramFacts` shared across every criterion of a program must
+    // give exactly what `tslice_with` computes per call: slice, trace and
+    // every counter, under summaries, VSA, and both.
+    let mut summary_edges = 0;
+    for seed in [5u64, 71] {
+        let bin = generate(&computed_spec("equiv_facts", (seed % 8) as usize, seed));
+        let facts = ProgramFacts::new(&bin.program);
+        for cfg in [
+            TsliceConfig::with_call_summaries(),
+            TsliceConfig::with_vsa(),
+            TsliceConfig { use_call_summaries: true, trace: true, ..TsliceConfig::with_vsa() },
+        ] {
+            for (v0, _) in bin.labeled_vars() {
+                let shared = tslice_with_facts(&facts, v0, &cfg);
+                let alone = tslice_with(&bin.program, v0, &cfg);
+                assert_eq!(shared.slice, alone.slice, "{} at {v0:?}", bin.name);
+                assert_eq!(shared.trace, alone.trace, "{} at {v0:?}", bin.name);
+                assert_eq!(shared.stats, alone.stats, "{} at {v0:?}", bin.name);
+                summary_edges += shared.stats.summary_edges;
+            }
+        }
+        assert!(facts.kills().iter().any(Option::is_some), "the must-write table holds facts");
+    }
+    assert!(summary_edges > 0, "summary edges were taken");
 }
 
 #[test]
