@@ -7,7 +7,6 @@
 //! tiara synth   --out prog.tira --pdb labels.json [--seed N] [--style K]
 //!               [--counts LIST,VEC,MAP,PRIM]
 //! tiara slice   --binary prog.tira --addr <ADDR> [--sslice] [--trace] [--dot] [--stats]
-//!               [--reference] [--vsa]
 //! tiara analyze --binary prog.tira [--func <NAME>] [--interproc] [--vsa] [--json]
 //! tiara lint    --binary prog.tira [--addr <ADDR>] [--json]
 //! tiara train   --binary prog.tira --pdb labels.json --save model.tc
@@ -32,7 +31,8 @@
 //!
 //! Every command accepts `--threads N` to bound the worker-thread count of
 //! the shared executor (default: `TIARA_THREADS` or the machine's available
-//! parallelism). Results are bitwise identical at any thread count.
+//! parallelism). Results are bitwise identical at any thread count. A flag
+//! the command does not take is a usage error.
 //!
 //! ## Exit codes
 //!
@@ -64,11 +64,10 @@ fn usage() -> &'static str {
      tiara disasm  --binary prog.tira\n\
      tiara synth   --out prog.tira --pdb labels.json [--seed N] [--style K] [--counts L,V,M,P]\n\
      tiara slice   --binary prog.tira --addr ADDR [--sslice] [--trace] [--dot] [--stats]\n\
-                   [--reference] [--vsa]\n\
      tiara analyze --binary prog.tira [--func NAME] [--interproc] [--vsa] [--json]\n\
      tiara lint    --binary prog.tira [--addr ADDR] [--json]\n\
      tiara train   --binary prog.tira --pdb labels.json --save model.tc [--epochs N]\n\
-                   [--batch N] [--sslice] [--reference-mode] [--stats]\n\
+                   [--batch N] [--sslice] [--stats]\n\
      tiara predict --binary prog.tira --model model.tc --addr ADDR\n\
      tiara inspect model.tc [--json]\n\
      tiara serve   --model model.tc | --models ALIAS=PATH [ALIAS=PATH ...]\n\
@@ -82,9 +81,7 @@ fn usage() -> &'static str {
      multiplexed TCP reactor with --listen; --model loads under the `default` alias,\n\
      --models loads several, and model_load/model_alias/model_unload work at runtime.\n\
      On shutdown each model's slice cache is persisted into its container\n\
-     (--no-persist to skip). `inspect` prints a .tc container's header and sections.\n\
-     --reference-mode trains on the per-sample autodiff tape (slow, bitwise-identical\n\
-     reference for the batched engine)"
+     (--no-persist to skip). `inspect` prints a .tc container's header and sections."
 }
 
 /// CLI failures, each with a stable exit code (see the module docs).
@@ -153,42 +150,77 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `command` takes besides the `--threads N` every command takes:
+/// those that take a value, then the switches. `None` for an unknown
+/// command.
+fn command_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match command {
+        "asm" => (&["in", "out"], &[]),
+        "disasm" => (&["binary"], &[]),
+        "synth" => (&["out", "pdb", "seed", "style", "counts"], &[]),
+        "slice" => (&["binary", "addr"], &["sslice", "trace", "dot", "stats"]),
+        "analyze" => (&["binary", "func"], &["interproc", "vsa", "json"]),
+        "lint" => (&["binary", "addr"], &["json"]),
+        // `--model` is the pre-bundle spelling of `--save`.
+        "train" => (&["binary", "pdb", "save", "model", "epochs", "batch"], &["sslice", "stats"]),
+        "predict" => (&["binary", "model", "addr"], &[]),
+        "inspect" => (&["model"], &["json"]),
+        "serve" => (
+            &[
+                "model",
+                "models",
+                "listen",
+                "workers",
+                "queue",
+                "max-batch",
+                "deadline-ms",
+                "max-conns",
+                "idle-timeout-ms",
+            ],
+            &["no-persist"],
+        ),
+        _ => return None,
+    })
+}
+
 fn run() -> Result<(), CliError> {
     let mut args = std::env::args().skip(1).peekable();
     let command = args.next().ok_or_else(|| CliError::Usage(usage().to_owned()))?;
+    let (values, switch_names) = command_flags(&command)
+        .ok_or_else(|| CliError::Usage(format!("unknown command `{command}`\n{}", usage())))?;
     let mut flags: HashMap<String, String> = HashMap::new();
     let mut switches: Vec<String> = Vec::new();
     let mut positional: Vec<String> = Vec::new();
     let mut models: Vec<String> = Vec::new();
     while let Some(a) = args.next() {
         if let Some(name) = a.strip_prefix("--") {
-            match name {
-                "sslice" | "trace" | "dot" | "json" | "stats" | "reference" | "interproc"
-                | "vsa" | "reference-mode" | "no-persist" => {
-                    switches.push(name.to_owned());
-                }
+            if switch_names.contains(&name) {
+                switches.push(name.to_owned());
+            } else if name == "models" && values.contains(&name) {
                 // `--models` greedily takes every following ALIAS=PATH pair,
                 // so `--models a=a.tc b=b.tc` loads two models.
-                "models" => {
-                    let before = models.len();
-                    while let Some(next) = args.peek() {
-                        if next.starts_with("--") || !next.contains('=') {
-                            break;
-                        }
-                        models.extend(args.next());
+                let before = models.len();
+                while let Some(next) = args.peek() {
+                    if next.starts_with("--") || !next.contains('=') {
+                        break;
                     }
-                    if models.len() == before {
-                        return Err(CliError::Usage(
-                            "--models expects one or more ALIAS=PATH pairs".into(),
-                        ));
-                    }
+                    models.extend(args.next());
                 }
-                _ => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| CliError::Usage(format!("missing value for --{name}")))?;
-                    flags.insert(name.to_owned(), v);
+                if models.len() == before {
+                    return Err(CliError::Usage(
+                        "--models expects one or more ALIAS=PATH pairs".into(),
+                    ));
                 }
+            } else if values.contains(&name) || name == "threads" {
+                let v = args
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("missing value for --{name}")))?;
+                flags.insert(name.to_owned(), v);
+            } else {
+                return Err(CliError::Usage(format!(
+                    "`tiara {command}` does not take --{name}\n{}",
+                    usage()
+                )));
             }
         } else if command == "inspect" && positional.is_empty() {
             // `inspect` takes its file as a positional argument.
@@ -269,10 +301,8 @@ fn run() -> Result<(), CliError> {
                     print_slice(&mut out, &prog, &s)?;
                 }
             } else {
-                let mut cfg =
+                let cfg =
                     if has("trace") { TsliceConfig::with_trace() } else { TsliceConfig::default() };
-                cfg.reference_mode = has("reference");
-                cfg.use_vsa = has("vsa");
                 let sliced = tslice_with(&prog, addr, &cfg);
                 if has("dot") {
                     writeln!(out, "{}", sliced.slice.to_dot(&prog))?;
@@ -412,12 +442,8 @@ fn run() -> Result<(), CliError> {
                 CliError::Usage(format!("missing required flag --save\n{}", usage()))
             })?;
             let ds = Dataset::from_binary(&prog, &pdb, "cli", &slicer);
-            let mut clf = Classifier::new(&ClassifierConfig {
-                epochs,
-                batch_size,
-                reference_mode: has("reference-mode"),
-                ..Default::default()
-            });
+            let mut clf =
+                Classifier::new(&ClassifierConfig { epochs, batch_size, ..Default::default() });
             let stats = clf.train_with_progress(&ds, |s| {
                 if s.epoch % 10 == 0 {
                     eprintln!("epoch {:>4}: loss {:.4} acc {:.2}", s.epoch, s.loss, s.accuracy);
@@ -716,6 +742,7 @@ mod tests {
             "serve",
         ] {
             assert!(usage().contains(cmd), "usage is missing `{cmd}`");
+            assert!(command_flags(cmd).is_some(), "no flag table for `{cmd}`");
         }
     }
 

@@ -194,16 +194,30 @@ fn analyze_vsa_rejects_interproc_with_usage_exit() {
 }
 
 #[test]
-fn slice_vsa_runs_and_reports_kill_stats() {
-    let dir = tempdir("slice-vsa");
+fn flags_a_command_does_not_take_are_usage_errors_naming_the_flag() {
+    let dir = tempdir("unknown-flags");
     let (bin, addr) = synth_computed_binary(&dir);
-    let out =
-        tiara(&["slice", "--binary", bin.to_str().unwrap(), "--addr", &addr, "--vsa", "--stats"]);
+    let bin = bin.to_str().unwrap();
+    let pdb = dir.join("labels.json");
+    let save = dir.join("model.tc");
+    let (pdb, save) = (pdb.to_str().unwrap(), save.to_str().unwrap());
+    let slice = ["slice", "--binary", bin, "--addr", &addr];
+    let train = ["train", "--binary", bin, "--pdb", pdb, "--save", save];
+    for (args, flag) in [
+        ([&slice[..], &["--vsa"]].concat(), "--vsa"),
+        ([&slice[..], &["--reference"]].concat(), "--reference"),
+        ([&train[..], &["--reference-mode"]].concat(), "--reference-mode"),
+        ([&train[..], &["--epoch", "5"]].concat(), "--epoch"),
+    ] {
+        let out = tiara(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {err}");
+        assert!(err.contains(&format!("does not take {flag}\n")), "{args:?}: stderr: {err}");
+    }
+    assert!(!Path::new(save).exists(), "a rejected train must write nothing");
+    // `--vsa` remains a switch of `analyze`.
+    let out = tiara(&["analyze", "--binary", bin, "--vsa"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("slice of"), "missing slice header:\n{text}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("vsa kills"), "stats line must carry the kill counter: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -601,12 +615,12 @@ fn serve_models_flag_rejects_malformed_pairs() {
 }
 
 #[test]
-fn reference_mode_and_no_persist_parse_as_switches() {
-    // Both are value-less switches; the parser must not eat a following
-    // flag as their "value". Missing --binary / --model is the error we expect.
-    let train = tiara(&["train", "--reference-mode", "--pdb", "/nonexistent/labels.json"]);
+fn switches_do_not_take_values() {
+    // Value-less switches must not eat a following flag as their "value".
+    // Missing --binary / --model is the error we expect.
+    let train = tiara(&["train", "--stats", "--pdb", "/nonexistent/labels.json"]);
     let err = String::from_utf8_lossy(&train.stderr);
-    assert!(!err.contains("missing value for --reference-mode"), "switch ate a value: {err}");
+    assert!(!err.contains("missing value for --stats"), "switch ate a value: {err}");
     assert!(err.contains("--binary"), "expected a missing --binary error: {err}");
     let serve = tiara(&["serve", "--no-persist", "--workers", "1"]);
     let err = String::from_utf8_lossy(&serve.stderr);

@@ -40,10 +40,6 @@ pub struct ClassifierConfig {
     pub batch_size: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Train through the per-sample autodiff tape instead of the batched
-    /// block-diagonal engine. Slower, bitwise identical; kept as the
-    /// reference implementation for differential testing.
-    pub reference_mode: bool,
 }
 
 impl Default for ClassifierConfig {
@@ -57,7 +53,6 @@ impl Default for ClassifierConfig {
             epochs: 300,
             batch_size: 32,
             seed: 0x0007_1A2A,
-            reference_mode: false,
         }
     }
 }
@@ -86,7 +81,6 @@ impl ClassifierConfig {
             epochs: self.epochs,
             batch_size: self.batch_size,
             seed: self.seed,
-            reference_mode: self.reference_mode,
         }
     }
 }

@@ -11,7 +11,9 @@
 //!
 //! Containers written while int8 inference existed may carry a set
 //! `has_quant` byte and retired tag-5 sections; the decoder ignores both
-//! and serves the f32 weights.
+//! and serves the f32 weights. Likewise the retired `reference_mode` bytes
+//! (model and slicer config) and the `use_vsa` byte are written as 0, and
+//! read, validated as bools and ignored.
 //!
 //! Every structural violation decodes to [`Error::Persistence`] — this
 //! module never panics on untrusted bytes. Shape assertions in
@@ -207,7 +209,7 @@ fn encode_model_config(classifier: &Classifier) -> Vec<u8> {
         e.usize(c.epochs);
         e.usize(c.batch_size);
         e.u64(c.seed);
-        e.u8(u8::from(c.reference_mode));
+        e.u8(0); // reference_mode: always 0 since the tape became a test oracle
     } else if let Some(m) = classifier.mlp() {
         let c = m.config();
         e.usize(c.input_dim);
@@ -221,7 +223,10 @@ fn encode_model_config(classifier: &Classifier) -> Vec<u8> {
     e.0
 }
 
-fn encode_slicer(slicer: &Slicer) -> Vec<u8> {
+/// The canonical byte encoding of a slicer configuration: the
+/// `SLICER_CONFIG` section payload, also hashed into
+/// [`slice_cache::slicer_fingerprint`].
+pub(crate) fn encode_slicer(slicer: &Slicer) -> Vec<u8> {
     let mut e = Enc::new();
     match slicer {
         Slicer::Sslice => e.u8(1),
@@ -247,9 +252,9 @@ fn encode_slicer(slicer: &Slicer) -> Vec<u8> {
             e.u8(u8::from(c.trace));
             e.usize(c.max_steps);
             e.i64(c.criterion_window);
-            e.u8(u8::from(c.reference_mode));
+            e.u8(0); // reference_mode: retired with the runtime oracle switch
             e.u8(u8::from(c.use_call_summaries));
-            e.u8(u8::from(c.use_vsa));
+            e.u8(0); // use_vsa: retired with the VSA slicing kills
         }
     }
     e.0
@@ -388,7 +393,7 @@ fn decode_slicer(payload: &[u8]) -> Result<Slicer, Error> {
                 1 => DecayFunction::Exponential { scale: d.f64()?, floor: d.f64()? },
                 t => return bad(format!("unknown decay function tag {t}")),
             };
-            Slicer::Tslice(TsliceConfig {
+            let mut c = TsliceConfig {
                 decay_indirect,
                 decay_stack,
                 decay_default,
@@ -398,10 +403,12 @@ fn decode_slicer(payload: &[u8]) -> Result<Slicer, Error> {
                 trace: d.bool()?,
                 max_steps: d.usize()?,
                 criterion_window: d.i64()?,
-                reference_mode: d.bool()?,
-                use_call_summaries: d.bool()?,
-                use_vsa: d.bool()?,
-            })
+                ..TsliceConfig::default()
+            };
+            d.bool()?; // reference_mode: set by older writers, ignored
+            c.use_call_summaries = d.bool()?;
+            d.bool()?; // use_vsa: set by older writers, ignored
+            Slicer::Tslice(c)
         }
         t => return bad(format!("unknown slicer tag {t}")),
     };
@@ -480,8 +487,8 @@ fn decode_gcn(reader: &Reader, mc: &mut Dec<'_>, trained: bool) -> Result<Classi
         epochs: mc.usize()?,
         batch_size: mc.usize()?,
         seed: mc.u64()?,
-        reference_mode: mc.bool()?,
     };
+    mc.bool()?; // reference_mode: set by older writers, ignored
     if config.num_layers == 0 {
         return bad("model config declares zero convolution layers");
     }
@@ -607,7 +614,13 @@ pub(crate) fn model_digest(classifier: &Classifier) -> u64 {
     let mut h = FNV_OFFSET;
     if let Some(g) = classifier.gcn() {
         h = fnv1a64(h, b"gcn");
-        h = fnv1a64(h, format!("{:?}", g.config()).as_bytes());
+        // The text every digest has covered: the config's `Debug` rendering
+        // from before the retired `reference_mode` flag (always `false` in a
+        // servable model) left `GcnConfig`. Appending it keeps each model's
+        // digest, and with it the wire `digest` field, unchanged.
+        let text = format!("{:?}", g.config());
+        let text = text.strip_suffix(" }").unwrap_or(&text);
+        h = fnv1a64(h, format!("{text}, reference_mode: false }}").as_bytes());
         for m in g.conv_weights() {
             h = digest_matrix(h, m);
         }
@@ -641,7 +654,6 @@ mod tests {
             epochs: trained_epochs,
             batch_size: 4,
             seed: 3,
-            reference_mode: false,
         });
         gcn.train(&toy_graphs(4));
         gcn
@@ -726,7 +738,7 @@ mod tests {
             decay_function: DecayFunction::Exponential { scale: 10.0, floor: 0.125 },
             cut_indirect_calls: false,
             criterion_window: -3,
-            use_vsa: true,
+            use_call_summaries: true,
             ..TsliceConfig::default()
         });
         let clf = Classifier::from_gcn(toy_gcn(1), true);

@@ -643,6 +643,44 @@ mod tests {
     }
 
     #[test]
+    fn cache_shards_under_an_unknown_slicer_key_load_as_misses() {
+        // A shard persisted under a slicer key this build never produces
+        // (an older fingerprint scheme, or another slicer) must load
+        // cleanly and then simply never hit.
+        let _guard = crate::slice_cache::test_lock();
+        let bin = e2e_binary();
+        let mut tiara = Tiara::new(TiaraConfig::new().with_classifier(ClassifierConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..Default::default()
+        }));
+        tiara.train(&[("e2e", &bin.program, &bin.debug)]).unwrap();
+        let addrs: Vec<_> = bin.labeled_vars().map(|(a, _)| a).collect();
+        let prog_fp = slice_cache::program_fingerprint(&bin.program);
+        let slicer_fp = slice_cache::slicer_fingerprint(tiara.slicer());
+        let foreign = !slicer_fp;
+        slice_cache::clear();
+        for &addr in &addrs {
+            slice_cache::get_or_slice(prog_fp, foreign, addr, || {
+                tiara.slicer().run(&bin.program, addr)
+            });
+        }
+        let bytes = tiara.to_container_bytes_with_cache();
+        slice_cache::clear();
+        let back = Tiara::from_container_bytes(&bytes).expect("foreign keys are not an error");
+        assert!(back.restored_cache_entries() >= addrs.len());
+        let mut computed = 0;
+        for &addr in &addrs {
+            slice_cache::get_or_slice(prog_fp, slicer_fp, addr, || {
+                computed += 1;
+                back.slicer().run(&bin.program, addr)
+            });
+        }
+        assert_eq!(computed, addrs.len(), "every lookup under the current key misses");
+        slice_cache::clear();
+    }
+
+    #[test]
     fn config_builder_composes() {
         let cfg = TiaraConfig::new()
             .with_slicer(Slicer::Sslice)

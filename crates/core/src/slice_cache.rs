@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use tiara_container::{fnv1a64, FNV_OFFSET};
 use tiara_ir::{Program, VarAddr};
 use tiara_slice::Slice;
 
@@ -66,11 +67,11 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
 }
 
 /// A fingerprint of a slicer configuration (algorithm + every knob), so
-/// different `TsliceConfig`s never share cache entries.
+/// different `TsliceConfig`s never share cache entries: FNV-1a over the
+/// slicer's `.tc` encoding, so the key is stable across builds and
+/// toolchains and persisted cache shards stay valid.
 pub fn slicer_fingerprint(slicer: &Slicer) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{slicer:?}").hash(&mut h);
-    h.finish()
+    fnv1a64(FNV_OFFSET, &crate::container::encode_slicer(slicer))
 }
 
 fn shard_of(key: &Key) -> usize {
@@ -221,14 +222,30 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_changes_the_slicer_fingerprint() {
-        use tiara_slice::TsliceConfig;
-        let fast = slicer_fingerprint(&Slicer::default());
-        let refr = slicer_fingerprint(&Slicer::Tslice(TsliceConfig {
-            reference_mode: true,
-            ..TsliceConfig::default()
-        }));
-        assert_ne!(fast, refr, "fast and reference runs must not share cache entries");
+    fn slicer_fingerprint_is_pinned_and_tracks_every_knob() {
+        use tiara_slice::{DecayFunction, TsliceConfig};
+        // The key of every persisted cache shard: a change here orphans the
+        // shards saved by earlier builds, so it must be deliberate.
+        let default = slicer_fingerprint(&Slicer::default());
+        assert_eq!(default, 0xbee4_772b_0457_6058, "default slicer fingerprint moved");
+        let knobs = [
+            Slicer::Sslice,
+            Slicer::Tslice(TsliceConfig::with_call_summaries()),
+            Slicer::Tslice(TsliceConfig::with_trace()),
+            Slicer::Tslice(TsliceConfig { decay_default: 0.002, ..TsliceConfig::default() }),
+            Slicer::Tslice(TsliceConfig {
+                decay_function: DecayFunction::Exponential { scale: 2.0, floor: 0.01 },
+                ..TsliceConfig::default()
+            }),
+            Slicer::Tslice(TsliceConfig { max_steps: 10, ..TsliceConfig::default() }),
+            Slicer::Tslice(TsliceConfig { criterion_window: 8, ..TsliceConfig::default() }),
+        ];
+        let mut seen = vec![default];
+        for slicer in &knobs {
+            let fp = slicer_fingerprint(slicer);
+            assert!(!seen.contains(&fp), "{slicer:?} shares a fingerprint");
+            seen.push(fp);
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub use summary::{
     render_text, FunctionFacts,
 };
 pub use vsa::{
-    enumerate_alocs, must_writes, render_vsa_json, render_vsa_text, vsa_function, vsa_program,
-    ALoc, MemOp, MustWrite, Region, StridedInterval, VsaAnalysis, VsaFact, VsaResult, VsaTotals,
-    Vsv,
+    enumerate_alocs, render_vsa_json, render_vsa_text, vsa_function, vsa_program, ALoc, MemOp,
+    Region, StridedInterval, VsaAnalysis, VsaFact, VsaResult, VsaTotals, Vsv,
 };

@@ -30,8 +30,7 @@
 //! Consumers: `discover_variables_vsa` in tiara-core (address discovery for
 //! globals, frame slots in *all* functions, and heap allocation sites), the
 //! four `vsa-*` lint passes in tiara-verify (including a concrete-execution
-//! soundness oracle), and the slicer's must-alias kill facts
-//! ([`must_writes`]) behind `TsliceConfig::with_vsa()`.
+//! soundness oracle), and `tiara analyze --vsa`.
 
 use crate::solver::{solve, Direction, Lattice, Solution, Transfer};
 use std::collections::BTreeMap;
@@ -797,50 +796,6 @@ pub fn vsa_program(prog: &Program) -> Vec<VsaResult> {
     prog.funcs().iter().map(|f| vsa_function(prog, f.id)).collect()
 }
 
-/// A must-alias store fact for the slicer: at this instruction, the store
-/// through a computed register provably writes the frame slot `frame_off`
-/// (entry-`esp`-relative) while `esp` provably sits at `esp_off` — both
-/// singletons over every path, so a strong update is sound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MustWrite {
-    /// Entry-`esp`-relative offset of the written slot.
-    pub frame_off: i64,
-    /// Entry-`esp`-relative offset of `esp` at the instruction.
-    pub esp_off: i64,
-}
-
-/// Extracts the must-alias kill facts of a program: `mov [r+c], src`
-/// stores through general registers whose target and `esp` both resolve to
-/// frame singletons. Deterministic (a `BTreeMap` filled in function order).
-pub fn must_writes(prog: &Program) -> BTreeMap<InstId, MustWrite> {
-    let mut out = BTreeMap::new();
-    for f in prog.funcs() {
-        let mut result: Option<VsaResult> = None;
-        for id in f.inst_ids() {
-            let InstKind::Mov { dst: Operand::Deref(loc), .. } = &prog.inst(id).kind else {
-                continue;
-            };
-            let Some(base) = loc.base_reg() else { continue };
-            if base.is_pointer_reg() {
-                continue;
-            }
-            let res = result.get_or_insert_with(|| vsa_function(prog, f.id));
-            if !res.reached(id) {
-                continue;
-            }
-            let fact = res.before(id);
-            let frame = Region::Frame(f.id);
-            let (Some(frame_off), Some(esp_off)) =
-                (fact.eval_addr(*loc).singleton_in(frame), fact.reg(Reg::Esp).singleton_in(frame))
-            else {
-                continue;
-            };
-            out.insert(id, MustWrite { frame_off, esp_off });
-        }
-    }
-    out
-}
-
 /// Per-region tallies of one function's resolved memory operands.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VsaTotals {
@@ -1036,8 +991,6 @@ mod tests {
         // the store hits frame slot -0x14.
         let addr = fact.eval_addr(Loc::with_offset(Reg::Esi, 4));
         assert_eq!(addr.singleton_in(Region::Frame(FuncId(0))), Some(-0x14));
-        let mw = must_writes(&p);
-        assert_eq!(mw.get(&store), Some(&MustWrite { frame_off: -0x14, esp_off: -0x20 }));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! offset-merged edge list entry for entry: blocks are disjoint, per-node
 //! predecessor sets are sorted/deduped per sample, and the `1/|N∪{v}|`
 //! weights are computed from the same counts. Hence a model trained here is
-//! bitwise identical to one trained in
-//! [`reference mode`](crate::GcnConfig::reference_mode) — a property pinned
+//! bitwise identical to one trained on the tape by
+//! [`Gcn::train_reference`](crate::Gcn::train_reference) — a property pinned
 //! by the differential suite rather than assumed.
 
 use crate::csr::Csr;

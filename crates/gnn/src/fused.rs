@@ -11,9 +11,9 @@
 //!   intrinsics (this crate is `forbid(unsafe_code)`).
 //! * **Softmax + cross-entropy** ([`softmax_rows_into`], [`softmax_ce_loss`],
 //!   [`softmax_ce_grad_into`]): the loss head, shared by the batched fast
-//!   path *and* the tape [`reference
-//!   mode`](crate::GcnConfig::reference_mode) so the two training paths stay
-//!   bitwise identical by construction.
+//!   path *and* the tape reference
+//!   ([`Gcn::train_reference`](crate::Gcn::train_reference)) so the two
+//!   training paths stay bitwise identical by construction.
 //! * **Fused matmul(+bias)+ReLU** ([`matmul_bias_relu_into`]) and its
 //!   backward ReLU′ (`relu_backward_row`): the per-layer `ReLU(Â H W + b)`
 //!   is computed in one pass over the output block — the bias add and clamp

@@ -86,12 +86,6 @@ pub struct GcnConfig {
     pub batch_size: usize,
     /// RNG seed for initialization and shuffling.
     pub seed: u64,
-    /// Train and predict through the original per-batch autodiff tape
-    /// instead of the batched block-diagonal engine. The two paths are
-    /// bitwise identical (same kernels, same batch composition, same
-    /// reduction orders — pinned by the differential suite); the tape path
-    /// is kept as the readable reference and digest oracle.
-    pub reference_mode: bool,
 }
 
 impl Default for GcnConfig {
@@ -106,7 +100,6 @@ impl Default for GcnConfig {
             epochs: 300,
             batch_size: 32,
             seed: 0xC60,
-            reference_mode: false,
         }
     }
 }
@@ -236,11 +229,8 @@ impl Gcn {
         self.train_with_progress(samples, |_| {})
     }
 
-    /// Trains with a per-epoch callback.
-    ///
-    /// Runs the batched block-diagonal engine unless
-    /// [`GcnConfig::reference_mode`] selects the original tape path; the two
-    /// produce bitwise-identical models.
+    /// Trains with a per-epoch callback, through the batched
+    /// block-diagonal engine.
     ///
     /// # Panics
     ///
@@ -250,29 +240,47 @@ impl Gcn {
         samples: &[GraphSample],
         mut progress: impl FnMut(&EpochStats),
     ) -> Vec<EpochStats> {
+        self.check_samples(samples);
+        self.train_batched(samples, None, &mut progress).0
+    }
+
+    fn check_samples(&self, samples: &[GraphSample]) {
         assert!(!samples.is_empty(), "no training samples");
         for s in samples {
             assert_eq!(s.features.cols(), self.config.input_dim, "feature width mismatch");
         }
-        if self.config.reference_mode {
-            self.train_reference(samples, &mut progress)
-        } else {
-            self.train_batched(samples, None, &mut progress).0
-        }
     }
 
-    /// The original per-batch tape loop, kept as the digest oracle.
-    fn train_reference(
+    /// Trains through the original per-batch autodiff tape. Produces a
+    /// model bitwise identical to [`Gcn::train`]'s (same kernels, same batch
+    /// composition, same reduction orders); it exists as the readable
+    /// oracle the differential tests hold the batched engine to.
+    ///
+    /// # Panics
+    ///
+    /// See [`Gcn::train`].
+    #[doc(hidden)]
+    pub fn train_reference(&mut self, samples: &[GraphSample]) -> Vec<EpochStats> {
+        self.check_samples(samples);
+        self.train_tape(samples, None).0
+    }
+
+    /// The per-batch tape loop behind [`Gcn::train_reference`]. Mirrors
+    /// [`Gcn::train_batched`] step for step, validation checkpoints
+    /// included; predictions on the validation set also go through the tape.
+    fn train_tape(
         &mut self,
         samples: &[GraphSample],
-        progress: &mut impl FnMut(&EpochStats),
-    ) -> Vec<EpochStats> {
+        validation: Option<&[GraphSample]>,
+    ) -> (Vec<EpochStats>, f32) {
         let n_convs = self.convs.len();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xADA);
         let mut opt = Adam::new(self.config.learning_rate);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut stats = Vec::with_capacity(self.config.epochs);
         let mut tstats = TrainStats::default();
+        let mut best_acc = -1.0f32;
+        let mut best: Option<(Vec<Matrix>, Matrix)> = None;
 
         for epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
@@ -306,16 +314,35 @@ impl Gcn {
                 tstats.optimizer_secs += t2.elapsed().as_secs_f64();
                 tstats.batches += 1;
             }
-            let s = EpochStats {
+            stats.push(EpochStats {
                 epoch,
                 loss: (loss_sum / samples.len() as f64) as f32,
                 accuracy: correct as f32 / samples.len() as f32,
-            };
-            progress(&s);
-            stats.push(s);
+            });
+
+            if let Some(val) = validation {
+                let mut labels = val.iter().map(|g| g.label as usize);
+                let mut v_correct = 0usize;
+                self.infer_tape(val, |probs, rows| {
+                    for r in 0..rows {
+                        if Some(probs.argmax_row(r)) == labels.next() {
+                            v_correct += 1;
+                        }
+                    }
+                });
+                let acc = v_correct as f32 / val.len() as f32;
+                if acc > best_acc {
+                    best_acc = acc;
+                    best = Some((self.convs.clone(), self.head.clone()));
+                }
+            }
+        }
+        if let Some((convs, head)) = best {
+            self.convs = convs;
+            self.head = head;
         }
         self.stats = tstats;
-        stats
+        (stats, best_acc)
     }
 
     /// The batched block-diagonal training loop (see [`crate::batch`]):
@@ -441,60 +468,7 @@ impl Gcn {
     ) -> (Vec<EpochStats>, f32) {
         assert!(!train.is_empty(), "no training samples");
         assert!(!validation.is_empty(), "no validation samples");
-        if !self.config.reference_mode {
-            return self.train_batched(train, Some(validation), &mut |_| {});
-        }
-        let n_convs = self.convs.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xADA);
-        let mut opt = Adam::new(self.config.learning_rate);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut stats = Vec::with_capacity(self.config.epochs);
-        let mut best_acc = -1.0f32;
-        let mut best: Option<(Vec<Matrix>, Matrix)> = None;
-
-        for epoch in 0..self.config.epochs {
-            order.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut correct = 0usize;
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch: Vec<&GraphSample> = chunk.iter().map(|&i| &train[i]).collect();
-                let labels: Arc<Vec<u32>> = Arc::new(batch.iter().map(|g| g.label).collect());
-                let mut tape = Tape::new();
-                let logits = self.forward(&mut tape, &batch);
-                let loss = tape.softmax_cross_entropy(logits, labels.clone());
-                loss_sum += f64::from(tape.value(loss).get(0, 0)) * batch.len() as f64;
-                let probs = tape.softmax(logits);
-                for (r, &y) in labels.iter().enumerate() {
-                    if probs.argmax_row(r) == y as usize {
-                        correct += 1;
-                    }
-                }
-                let grads = tape.backward(loss);
-                let mut params: Vec<(ParamId, &mut Matrix)> =
-                    self.convs.iter_mut().enumerate().map(|(k, w)| (ParamId(k), w)).collect();
-                params.push((ParamId(n_convs), &mut self.head));
-                opt.step(&mut params, &grads);
-            }
-            stats.push(EpochStats {
-                epoch,
-                loss: (loss_sum / train.len() as f64) as f32,
-                accuracy: correct as f32 / train.len() as f32,
-            });
-
-            // Validation checkpoint.
-            let preds = self.predict_batch(validation);
-            let v_correct = preds.iter().zip(validation).filter(|(p, g)| **p == g.label).count();
-            let acc = v_correct as f32 / validation.len() as f32;
-            if acc > best_acc {
-                best_acc = acc;
-                best = Some((self.convs.clone(), self.head.clone()));
-            }
-        }
-        if let Some((convs, head)) = best {
-            self.convs = convs;
-            self.head = head;
-        }
-        (stats, best_acc)
+        self.train_batched(train, Some(validation), &mut |_| {})
     }
 
     /// Predicts the class of one graph.
@@ -532,23 +506,35 @@ impl Gcn {
         out
     }
 
-    /// Runs the forward pass chunk by chunk, handing each chunk's softmax
-    /// probabilities (and its row count) to `sink`. Dispatches to the
-    /// batched engine or, in reference mode, the tape.
+    /// Class probabilities for a batch of graphs through the autodiff tape,
+    /// one forward pass per `batch_size` chunk: the oracle for
+    /// [`Gcn::predict_proba_batch`], which it matches bit for bit.
+    #[doc(hidden)]
+    pub fn predict_proba_reference(&self, samples: &[GraphSample]) -> Vec<Vec<f32>> {
+        let mut out = Vec::with_capacity(samples.len());
+        self.infer_tape(samples, |probs, rows| {
+            out.extend((0..rows).map(|r| probs.row(r).to_vec()));
+        });
+        out
+    }
+
+    /// [`Gcn::infer_chunks`] through the autodiff tape.
+    fn infer_tape(&self, samples: &[GraphSample], mut sink: impl FnMut(&Matrix, usize)) {
+        for chunk in samples.chunks(self.config.batch_size.max(1)) {
+            let batch: Vec<&GraphSample> = chunk.iter().collect();
+            let mut tape = Tape::new();
+            let logits = self.forward(&mut tape, &batch);
+            sink(&tape.softmax(logits), chunk.len());
+        }
+    }
+
+    /// Runs the batched forward pass chunk by chunk, handing each chunk's
+    /// softmax probabilities (and its row count) to `sink`.
     fn infer_chunks(&self, samples: &[GraphSample], mut sink: impl FnMut(&Matrix, usize)) {
         if samples.is_empty() {
             return;
         }
         let chunk_size = self.config.batch_size.max(1);
-        if self.config.reference_mode {
-            for chunk in samples.chunks(chunk_size) {
-                let batch: Vec<&GraphSample> = chunk.iter().collect();
-                let mut tape = Tape::new();
-                let logits = self.forward(&mut tape, &batch);
-                sink(&tape.softmax(logits), chunk.len());
-            }
-            return;
-        }
         let mut ws = Workspace::default();
         let mut probs = Matrix::zeros(0, 0);
         let mut adjs: Vec<Csr> = Vec::new();
@@ -603,7 +589,6 @@ mod tests {
             epochs,
             batch_size: 4,
             seed: 3,
-            reference_mode: false,
         }
     }
 
@@ -718,9 +703,13 @@ mod tests {
     }
 
     /// Every observable bit of a model's predictions, for differential
-    /// comparisons.
+    /// comparisons: through the batched engine, or through the tape.
     fn proba_bits(gcn: &Gcn, data: &[GraphSample]) -> Vec<u32> {
         data.iter().flat_map(|s| gcn.predict_proba(s).into_iter().map(f32::to_bits)).collect()
+    }
+
+    fn reference_bits(gcn: &Gcn, data: &[GraphSample]) -> Vec<u32> {
+        gcn.predict_proba_reference(data).into_iter().flatten().map(f32::to_bits).collect()
     }
 
     #[test]
@@ -729,13 +718,13 @@ mod tests {
         for batch_size in [1usize, 3, 4, 32] {
             let cfg = GcnConfig { batch_size, ..toy_config(8) };
             let mut fast = Gcn::new(cfg.clone());
-            let mut refr = Gcn::new(GcnConfig { reference_mode: true, ..cfg });
+            let mut refr = Gcn::new(cfg);
             let sf = fast.train(&data);
-            let sr = refr.train(&data);
+            let sr = refr.train_reference(&data);
             assert_eq!(sf, sr, "epoch stats diverged at batch_size {batch_size}");
             assert_eq!(
                 proba_bits(&fast, &data),
-                proba_bits(&refr, &data),
+                reference_bits(&refr, &data),
                 "probabilities diverged at batch_size {batch_size}"
             );
             assert_eq!(fast.convs.len(), refr.convs.len());
@@ -751,12 +740,12 @@ mod tests {
         let train = toy_dataset(6);
         let val = toy_dataset(2);
         let mut fast = Gcn::new(toy_config(12));
-        let mut refr = Gcn::new(GcnConfig { reference_mode: true, ..toy_config(12) });
+        let mut refr = Gcn::new(toy_config(12));
         let (sf, af) = fast.train_with_validation(&train, &val);
-        let (sr, ar) = refr.train_with_validation(&train, &val);
+        let (sr, ar) = refr.train_tape(&train, Some(&val));
         assert_eq!(sf, sr);
         assert_eq!(af, ar);
-        assert_eq!(proba_bits(&fast, &train), proba_bits(&refr, &train));
+        assert_eq!(proba_bits(&fast, &train), reference_bits(&refr, &train));
     }
 
     #[test]
@@ -770,9 +759,9 @@ mod tests {
         assert!(ts.bytes_reused > 0, "arena must warm up after the first batch");
         let line = ts.to_string();
         assert!(line.contains("backward") && line.contains("bytes reused"), "{line}");
-        // Reference mode counts batches but no fused-kernel activity.
-        let mut refr = Gcn::new(GcnConfig { reference_mode: true, ..toy_config(3) });
-        refr.train(&data);
+        // The tape counts batches but no fused-kernel activity.
+        let mut refr = Gcn::new(toy_config(3));
+        refr.train_reference(&data);
         assert_eq!(refr.train_stats().batches, 6);
         assert_eq!(refr.train_stats().fused_kernel_calls, 0);
     }

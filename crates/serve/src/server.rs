@@ -46,7 +46,9 @@ pub const DEFAULT_ALIAS: &str = "default";
 pub struct ServeConfig {
     /// Maximum predict jobs waiting per client lane; further requests from
     /// that client are rejected with `queue_full` (other clients are
-    /// unaffected).
+    /// unaffected). The default of 256 holds 100 ms of requests from a
+    /// client sending 2,500 per second, so a reactor that stalls for 100 ms
+    /// (a descheduled process) refuses nothing when it resumes.
     pub queue_capacity: usize,
     /// Worker threads draining the queue. Each worker answers one batch at a
     /// time; within a batch, slicing runs on the shared `tiara_par`
@@ -78,7 +80,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            queue_capacity: 32,
+            queue_capacity: 256,
             workers: 2,
             max_batch: 4096,
             default_deadline_ms: None,
@@ -1155,7 +1157,7 @@ mod tests {
         let rejected = v.get("rejected").unwrap();
         assert_eq!(rejected.get("malformed").and_then(Value::as_i64), Some(1));
         let queue = v.get("queue").unwrap();
-        assert_eq!(queue.get("capacity").and_then(Value::as_i64), Some(32));
+        assert_eq!(queue.get("capacity").and_then(Value::as_i64), Some(256));
         assert_eq!(queue.get("depth").and_then(Value::as_i64), Some(0));
         let admission = v.get("admission").unwrap();
         assert_eq!(admission.get("queued_cost").and_then(Value::as_i64), Some(0));

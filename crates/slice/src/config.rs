@@ -69,11 +69,6 @@ pub struct TsliceConfig {
     /// Byte window around the criterion address treated as part of the
     /// variable (container headers are at most 16 bytes under MSVC x86).
     pub criterion_window: i64,
-    /// Run the snapshot-per-edge reference traversal instead of the
-    /// arena-based fast path. The two produce identical slices; the reference
-    /// path exists as the oracle for the equivalence tests and as an
-    /// escape hatch while the fast path bakes.
-    pub reference_mode: bool,
     /// Consult per-callee mod-ref summaries (`tiara-dataflow`'s
     /// [`summarize_program`](tiara_dataflow::summarize_program)) at direct
     /// calls: in addition to descending into the callee, the traversal takes
@@ -85,15 +80,6 @@ pub struct TsliceConfig {
     /// value set across an opaque-looking helper — even one whose body is cut
     /// by [`cut_indirect_calls`](Self::cut_indirect_calls). Off by default.
     pub use_call_summaries: bool,
-    /// Consult VSA must-write facts (`tiara-dataflow`'s
-    /// [`must_writes`](tiara_dataflow::must_writes)) at stores through
-    /// computed (non-`esp`/`ebp`) registers: when the value-set analysis
-    /// proves such a store lands on exactly one frame slot, the `[Mov-dr]`
-    /// rule strong-updates that slot instead of ignoring the memory effect,
-    /// killing stale values that would otherwise leak into later frame-slot
-    /// reads. Where VSA has no fact (the address is ⊤ or multi-valued) the
-    /// transfer is bit-for-bit the baseline rule. Off by default.
-    pub use_vsa: bool,
 }
 
 impl Default for TsliceConfig {
@@ -108,9 +94,7 @@ impl Default for TsliceConfig {
             trace: false,
             max_steps: 4_000_000,
             criterion_window: 16,
-            reference_mode: false,
             use_call_summaries: false,
-            use_vsa: false,
         }
     }
 }
@@ -126,12 +110,6 @@ impl TsliceConfig {
     pub fn with_call_summaries() -> TsliceConfig {
         TsliceConfig { use_call_summaries: true, ..TsliceConfig::default() }
     }
-
-    /// A configuration that kills through computed addresses using VSA
-    /// must-write facts (see [`use_vsa`](Self::use_vsa)).
-    pub fn with_vsa() -> TsliceConfig {
-        TsliceConfig { use_vsa: true, ..TsliceConfig::default() }
-    }
 }
 
 #[cfg(test)]
@@ -146,21 +124,12 @@ mod tests {
         assert_eq!(c.decay_default, 0.001);
         assert!(!c.trace);
         assert!(!c.use_call_summaries, "summary edges are opt-in");
-        assert!(!c.use_vsa, "VSA kills are opt-in");
-    }
-
-    #[test]
-    fn with_vsa_enables_must_write_kills() {
-        let c = TsliceConfig::with_vsa();
-        assert!(c.use_vsa);
-        assert!(!c.reference_mode);
     }
 
     #[test]
     fn with_call_summaries_enables_summary_edges() {
         let c = TsliceConfig::with_call_summaries();
         assert!(c.use_call_summaries);
-        assert!(!c.reference_mode);
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub use sslice::{first_access, sslice};
 pub use state::{AnalysisState, InstState};
 pub use stats::{add_to_global, global_stats, reset_global_stats, thread_spills, SliceStats};
 pub use trace::{RuleName, TraceEvent};
-pub use tslice::{tslice, tslice_with, tslice_with_facts, ProgramFacts, TsliceOutput};
+pub use tslice::{
+    tslice, tslice_reference, tslice_with, tslice_with_facts, ProgramFacts, TsliceOutput,
+};
 pub use value::{AbsValue, ValueSet};
 
 /// Escapes a string for use inside a Graphviz double-quoted label.

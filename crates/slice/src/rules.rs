@@ -35,7 +35,6 @@ use crate::trace::RuleName;
 use crate::value::{AbsValue, ValueSet};
 use crate::TsliceConfig;
 use std::borrow::Cow;
-use tiara_dataflow::MustWrite;
 use tiara_ir::{Addr, BinOp, FuncId, Inst, InstKind, Loc, Operand, Reg};
 
 /// The outcome of one transfer-function application.
@@ -43,8 +42,6 @@ use tiara_ir::{Addr, BinOp, FuncId, Inst, InstKind, Loc, Operand, Reg};
 pub struct Transfer {
     /// Whether `(V(i), S(i), D(i))` changed (Algorithm 1, line 11).
     pub changed: bool,
-    /// Whether a `[Mov-dr-kill]` strong update fired (VSA must-write fact).
-    pub vsa_kill: bool,
 }
 
 /// Evaluates a *source* operand to the abstract value set it supplies,
@@ -152,10 +149,8 @@ fn apply_const(op: BinOp, v: AbsValue, c: i64, const_on_left: bool) -> Option<Ab
 /// Applies the Figure 4 rules for instruction `inst` to `cur`, reading
 /// premises from `pre`. `func` is the function containing the instruction
 /// (used to scope frame-slot criteria). Fired rule names are appended to
-/// `fired` when `cfg.trace` is set. `vsa_kill` is the instruction's VSA
-/// must-write fact, if any (only supplied under `cfg.use_vsa`); it is a pure
-/// per-instruction constant, so the transfer stays a function of
-/// `(pre, inst, static facts)` and the fast path's edge memo remains valid.
+/// `fired` when `cfg.trace` is set. Returns whether `(V(i), S(i), D(i))`
+/// changed.
 #[allow(clippy::too_many_arguments)]
 pub fn transfer(
     inst: &Inst,
@@ -165,13 +160,12 @@ pub fn transfer(
     func: FuncId,
     ret_addr: Option<i64>,
     cfg: &TsliceConfig,
-    vsa_kill: Option<MustWrite>,
     fired: &mut Vec<RuleName>,
-) -> Transfer {
+) -> bool {
     let mut t = Transfer::default();
     match &inst.kind {
         InstKind::Mov { dst, src } => {
-            transfer_mov(*dst, *src, pre, cur, crit, func, cfg, vsa_kill, fired, &mut t)
+            transfer_mov(*dst, *src, pre, cur, crit, func, cfg, fired, &mut t)
         }
         InstKind::Op { op, dst, src } => {
             transfer_op(*op, *dst, *src, pre, cur, crit, func, fired, &mut t)
@@ -182,7 +176,7 @@ pub fn transfer(
         InstKind::Call { target } => transfer_call(target, pre, cur, ret_addr, fired, &mut t),
         InstKind::Ret => transfer_ret(pre, cur, fired, &mut t),
     }
-    t
+    t.changed
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -194,7 +188,6 @@ fn transfer_mov(
     crit: &Criterion,
     func: FuncId,
     cfg: &TsliceConfig,
-    vsa_kill: Option<MustWrite>,
     fired: &mut Vec<RuleName>,
     t: &mut Transfer,
 ) {
@@ -319,23 +312,9 @@ fn transfer_mov(
                 t.changed |= cur.mark_dep(lvl);
             }
             // The source may still witness a *direct* v0 access.
-            let (delta, direct, lvl) = eval_src(src, pre, crit, func, fired);
+            let (_, direct, lvl) = eval_src(src, pre, crit, func, fired);
             if direct {
                 t.changed |= cur.mark_dep(lvl);
-            }
-            // [Mov-dr-kill]: VSA proved the store lands on exactly one frame
-            // slot. The fact's offsets are entry-`esp`-relative; `frame_off −
-            // esp_off` is the slot's distance from the stack top at this
-            // program point, which translates into this run's abstract stack
-            // coordinates through the tracked `esp`. The slot is definitely
-            // overwritten: strong update, killing any stale value.
-            if let Some(mw) = vsa_kill {
-                if let Some(s) = pre.reg(Reg::Esp).singleton_const() {
-                    fired.push(RuleName::MovDrKill);
-                    t.changed |=
-                        cur.stack_assign(s - mw.esp_off + mw.frame_off, delta.into_owned());
-                    t.vsa_kill = true;
-                }
             }
         }
         // ---- destination is absolute memory ----

@@ -203,8 +203,8 @@ impl AnalysisState {
     }
 
     /// A clone of the state of an instruction (empty if unreached). Retained
-    /// for the reference-mode traversal, which snapshots the pre-state per
-    /// edge instead of borrowing it from the arena.
+    /// for the reference traversal (`tslice_reference`), which snapshots the
+    /// pre-state per edge instead of borrowing it from the arena.
     pub fn snapshot(&self, id: InstId) -> InstState {
         self.get(id).cloned().unwrap_or_default()
     }

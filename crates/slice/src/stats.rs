@@ -31,8 +31,8 @@ pub struct SliceStats {
     /// idempotent.
     pub merges_skipped: u64,
     /// Bytes the retired per-pop `AnalysisState::snapshot` deep clone would
-    /// have copied (pre-state footprint priced per pop). Zero in reference
-    /// mode, where the snapshot actually happens.
+    /// have copied (pre-state footprint priced per pop). Zero from the
+    /// reference traversal, which takes the snapshot.
     pub snapshot_bytes_avoided: u64,
     /// `ValueSet`s that outgrew the inline buffer and moved to the heap.
     pub set_spills: u64,
@@ -43,10 +43,6 @@ pub struct SliceStats {
     /// applied to the pre-state. Zero unless
     /// [`TsliceConfig`](crate::TsliceConfig)`::use_call_summaries` is on.
     pub summary_edges: u64,
-    /// `[Mov-dr-kill]` strong updates applied: stores through computed
-    /// registers resolved to a single frame slot by a VSA must-write fact.
-    /// Zero unless [`TsliceConfig`](crate::TsliceConfig)`::use_vsa` is on.
-    pub vsa_kills: u64,
 }
 
 impl SliceStats {
@@ -59,7 +55,6 @@ impl SliceStats {
         self.set_spills += other.set_spills;
         self.worklist_hits += other.worklist_hits;
         self.summary_edges += other.summary_edges;
-        self.vsa_kills += other.vsa_kills;
     }
 }
 
@@ -68,15 +63,14 @@ impl std::fmt::Display for SliceStats {
         write!(
             f,
             "steps {}, faith-cut pops {}, merges skipped {}, snapshot bytes avoided {}, \
-             set spills {}, worklist hits {}, summary edges {}, vsa kills {}",
+             set spills {}, worklist hits {}, summary edges {}",
             self.steps,
             self.faith_cut_pops,
             self.merges_skipped,
             self.snapshot_bytes_avoided,
             self.set_spills,
             self.worklist_hits,
-            self.summary_edges,
-            self.vsa_kills
+            self.summary_edges
         )
     }
 }
@@ -105,7 +99,6 @@ static G_SNAPSHOT_BYTES: AtomicU64 = AtomicU64::new(0);
 static G_SPILLS: AtomicU64 = AtomicU64::new(0);
 static G_WORKLIST_HITS: AtomicU64 = AtomicU64::new(0);
 static G_SUMMARY_EDGES: AtomicU64 = AtomicU64::new(0);
-static G_VSA_KILLS: AtomicU64 = AtomicU64::new(0);
 
 /// Folds one slice's counters into the process-wide aggregate.
 pub fn add_to_global(s: &SliceStats) {
@@ -116,7 +109,6 @@ pub fn add_to_global(s: &SliceStats) {
     G_SPILLS.fetch_add(s.set_spills, Ordering::Relaxed);
     G_WORKLIST_HITS.fetch_add(s.worklist_hits, Ordering::Relaxed);
     G_SUMMARY_EDGES.fetch_add(s.summary_edges, Ordering::Relaxed);
-    G_VSA_KILLS.fetch_add(s.vsa_kills, Ordering::Relaxed);
 }
 
 /// The process-wide aggregate since the last [`reset_global_stats`].
@@ -129,7 +121,6 @@ pub fn global_stats() -> SliceStats {
         set_spills: G_SPILLS.load(Ordering::Relaxed),
         worklist_hits: G_WORKLIST_HITS.load(Ordering::Relaxed),
         summary_edges: G_SUMMARY_EDGES.load(Ordering::Relaxed),
-        vsa_kills: G_VSA_KILLS.load(Ordering::Relaxed),
     }
 }
 
@@ -142,7 +133,6 @@ pub fn reset_global_stats() {
     G_SPILLS.store(0, Ordering::Relaxed);
     G_WORKLIST_HITS.store(0, Ordering::Relaxed);
     G_SUMMARY_EDGES.store(0, Ordering::Relaxed);
-    G_VSA_KILLS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -174,7 +164,7 @@ mod tests {
     #[test]
     fn display_lists_every_counter() {
         let s = SliceStats::default().to_string();
-        for key in ["steps", "merges skipped", "set spills", "worklist hits", "vsa kills"] {
+        for key in ["steps", "merges skipped", "set spills", "worklist hits", "summary edges"] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
     }

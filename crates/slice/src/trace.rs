@@ -22,9 +22,6 @@ pub enum RuleName {
     MovFp,
     MovSp,
     MovDr,
-    /// Strong update of a frame slot through a computed register, justified
-    /// by a VSA must-write fact (only under `TsliceConfig::use_vsa`).
-    MovDrKill,
     /// Store to the criterion's own global memory (`mov [v0+c], r`); the
     /// global analogue of `[Mov-dr]`, applied to `I16` in Figure 2.
     MovDv,
@@ -66,7 +63,6 @@ impl RuleName {
             RuleName::MovFp => "[Mov-fp]",
             RuleName::MovSp => "[Mov-sp]",
             RuleName::MovDr => "[Mov-dr]",
-            RuleName::MovDrKill => "[Mov-dr-kill]",
             RuleName::MovDv => "[Mov-dv]",
             RuleName::OpRc => "[Op-rc]",
             RuleName::OpRc1 => "[Op-rc-1]",

@@ -16,22 +16,21 @@
 //! 0.2 s/slice, and the `D(I0) = true` initialization on line 3, which only
 //! makes sense when `I0` itself accesses `v0`.)
 //!
-//! ## Two traversals, one semantics
+//! ## One traversal and its oracle
 //!
-//! The hot loop comes in two interchangeable forms, selected by
-//! [`TsliceConfig::reference_mode`]:
+//! The shipping traversal ([`tslice_with_facts`]) borrows the pre-state
+//! straight out of the state arena (`AnalysisState::pair_mut`) instead of
+//! deep-cloning it per edge, and memoizes `(pre, i)` edges by state version
+//! so a revisit whose endpoints are provably unchanged skips the join +
+//! transfer outright (faith still decays — the pop is observable through
+//! `F`).
 //!
-//! * the **fast path** (default) borrows the pre-state straight out of the
-//!   state arena (`AnalysisState::pair_mut`) instead of deep-cloning it per
-//!   edge, and memoizes `(pre, i)` edges by state version so a revisit whose
-//!   endpoints are provably unchanged skips the join + transfer outright
-//!   (faith still decays — the pop is observable through `F`);
-//! * the **reference path** is the literal Algorithm 1 shape: snapshot the
-//!   pre-state, join, transfer.
-//!
-//! Both paths share the same join/transfer/faith helpers and must produce
-//! bitwise-identical slices and traces; `tests/equivalence.rs` holds them to
-//! that. [`SliceStats`] counts what the fast path saved.
+//! [`tslice_reference`] is the literal Algorithm 1 shape: snapshot the
+//! pre-state, join, transfer. It is no configuration option; it exists as
+//! the oracle the equivalence tests hold the fast path to. Both share the
+//! same seeding, join/transfer, faith and successor helpers and must produce
+//! bitwise-identical slices and traces; `tests/equivalence.rs` checks that.
+//! [`SliceStats`] counts what the fast path saved.
 //!
 //! ## Summary edges
 //!
@@ -60,7 +59,7 @@ use crate::TsliceConfig;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::OnceLock;
-use tiara_dataflow::{escape::TRACKED_ARGS, FuncSummary, MustWrite, ProgramSummaries};
+use tiara_dataflow::{escape::TRACKED_ARGS, FuncSummary, ProgramSummaries};
 use tiara_ir::{CallTarget, InstId, InstKind, Program, Reg, VarAddr};
 
 /// The abstract stack base assigned to `sp` at the program entry. The value
@@ -111,27 +110,24 @@ pub fn tslice(prog: &Program, v0: VarAddr) -> Slice {
 
 /// The per-program facts TSLICE consults: the callee mod-ref summaries
 /// ([`tiara_dataflow::summarize_program`]) behind
-/// [`TsliceConfig::use_call_summaries`], and the VSA must-write kills
-/// ([`tiara_dataflow::must_writes`]) behind [`TsliceConfig::use_vsa`].
+/// [`TsliceConfig::use_call_summaries`].
 ///
-/// Both are deterministic functions of the program alone, so the traversal
-/// stays a pure function of (program, criterion, config) however they are
-/// shared. Each is computed on first use: callers that slice many criteria
-/// of one program build one `ProgramFacts` and pay for the facts at most
-/// once, and a run that needs neither (the default configuration) pays
-/// nothing. The cells are thread-safe, so one value serves a parallel batch.
+/// The summaries are a deterministic function of the program alone, so the
+/// traversal stays a pure function of (program, criterion, config) however
+/// they are shared. They are computed on first use: callers that slice many
+/// criteria of one program build one `ProgramFacts` and pay for them at most
+/// once, and a run that does not need them (the default configuration) pays
+/// nothing. The cell is thread-safe, so one value serves a parallel batch.
 #[derive(Debug)]
 pub struct ProgramFacts<'p> {
     prog: &'p Program,
     summaries: OnceLock<ProgramSummaries>,
-    /// The must-write fact of each instruction, indexed by [`InstId`].
-    kills: OnceLock<Vec<Option<MustWrite>>>,
 }
 
 impl<'p> ProgramFacts<'p> {
     /// Facts for `prog`, none computed yet.
     pub fn new(prog: &'p Program) -> ProgramFacts<'p> {
-        ProgramFacts { prog, summaries: OnceLock::new(), kills: OnceLock::new() }
+        ProgramFacts { prog, summaries: OnceLock::new() }
     }
 
     /// The program the facts describe.
@@ -142,18 +138,6 @@ impl<'p> ProgramFacts<'p> {
     /// The callee mod-ref summaries, computed on first call.
     fn summaries(&self) -> &ProgramSummaries {
         self.summaries.get_or_init(|| tiara_dataflow::summarize_program(self.prog))
-    }
-
-    /// The VSA must-write fact of every instruction, indexed by
-    /// [`InstId`], computed on first call.
-    pub fn kills(&self) -> &[Option<MustWrite>] {
-        self.kills.get_or_init(|| {
-            let mut table = vec![None; self.prog.num_insts()];
-            for (id, mw) in tiara_dataflow::must_writes(self.prog) {
-                table[id.0 as usize] = Some(mw);
-            }
-            table
-        })
     }
 }
 
@@ -166,258 +150,279 @@ pub fn tslice_with(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> TsliceOut
     tslice_with_facts(&ProgramFacts::new(prog), v0, cfg)
 }
 
+/// The output for a criterion no instruction accesses: an empty slice.
+fn unreached(prog: &Program, v0: VarAddr) -> TsliceOutput {
+    let slice = build_slice_graph(prog, v0, Vec::new(), &HashSet::new(), 0);
+    TsliceOutput { slice, trace: Vec::new(), stats: SliceStats::default() }
+}
+
+/// The traversal state both loops share: seeded at `I0` by [`Walk::start`]
+/// and turned into a [`TsliceOutput`] by [`Walk::finish`].
+struct Walk<'p> {
+    prog: &'p Program,
+    cfg: &'p TsliceConfig,
+    crit: Criterion,
+    summaries: Option<&'p ProgramSummaries>,
+    st: AnalysisState,
+    stack: Vec<Work>,
+    trace: Vec<TraceEvent>,
+    fired: Vec<RuleName>,
+    stats: SliceStats,
+    steps: usize,
+    spills_at_start: u64,
+}
+
+impl<'p> Walk<'p> {
+    /// Processes `I0` against the boot state and queues its successors.
+    /// `None` when no instruction accesses `v0`.
+    fn start(
+        prog: &'p Program,
+        v0: VarAddr,
+        cfg: &'p TsliceConfig,
+        summaries: Option<&'p ProgramSummaries>,
+    ) -> Option<Walk<'p>> {
+        // I0: the first instruction operating on v0 (see the module docs).
+        let entry = crate::sslice::first_access(prog, v0)?;
+        let mut w = Walk {
+            prog,
+            cfg,
+            crit: Criterion::new(v0, cfg.criterion_window),
+            summaries,
+            st: AnalysisState::new(),
+            stack: Vec::new(),
+            trace: Vec::new(),
+            fired: Vec::new(),
+            stats: SliceStats::default(),
+            steps: 0,
+            spills_at_start: crate::stats::thread_spills(),
+        };
+
+        // Initial state "before I0": sp and fp hold the abstract stack base
+        // so prologue sequences (`push ebp; mov ebp, esp`) are trackable.
+        // The paper initializes V(I0) to ⊥; without a concrete sp no stack
+        // rule could ever fire, so the implementation seeds the stack
+        // registers.
+        let mut boot = InstState::default();
+        boot.reg_assign(Reg::Esp, ValueSet::singleton(AbsValue::Const(STACK_BASE)));
+        boot.reg_assign(Reg::Ebp, ValueSet::singleton(AbsValue::Const(STACK_BASE)));
+
+        // The bootstrap edge has no `pre` instruction and is not a counted
+        // step.
+        let cur = w.st.get_mut(entry);
+        if merge_and_transfer(prog, &w.crit, cfg, &boot, cur, entry, &mut w.fired) {
+            w.st.bump(entry);
+        }
+        let faith0 = apply_faith(&mut w.st, cfg, prog, entry, None);
+        w.record_trace(entry, faith0);
+        // Line 3: D(I0) = true — the first access is dependent by definition.
+        if w.st.get_mut(entry).mark_dep(0) {
+            w.st.bump(entry);
+        }
+        push_successors(prog, entry, &None, &mut w.stack, &w.st, None, summaries, &mut w.stats);
+        Some(w)
+    }
+
+    /// Appends one [`TraceEvent`] for `i` when tracing is enabled.
+    fn record_trace(&mut self, i: InstId, faith: f64) {
+        if self.cfg.trace {
+            self.trace.push(TraceEvent {
+                inst: i,
+                rules: self.fired.clone(),
+                faith,
+                dep: self.st.get(i).map(|s| s.dep).unwrap_or(false),
+            });
+        }
+    }
+
+    /// Builds the slice graph from the explored states and folds the
+    /// counters into the process-wide aggregate.
+    fn finish(self, v0: VarAddr) -> TsliceOutput {
+        let Walk { prog, st, trace, mut stats, steps, summaries, spills_at_start, .. } = self;
+        let explored: HashSet<u32> = st.iter().map(|(id, _)| id.0).collect();
+        let nodes: Vec<SliceNode> = st
+            .iter()
+            .filter(|(_, s)| s.dep)
+            .map(|(id, s)| SliceNode { inst: id, faith: st.faith(id), indirection: s.indirection })
+            .collect();
+        // Summary edges the traversal could take (call site → return site,
+        // both explored) are CFG links for graph contraction: without them,
+        // a slice carried past an opaque callee would be disconnected from
+        // its far side. Derived from the explored set alone, so both
+        // traversals agree.
+        let mut summary_links: Vec<(u32, u32)> = Vec::new();
+        if summaries.is_some() {
+            for &raw in &explored {
+                let id = InstId(raw);
+                if let InstKind::Call { target: CallTarget::Direct(_) } = &prog.inst(id).kind {
+                    if let Some(site) = prog.return_site(id) {
+                        if explored.contains(&site.0) {
+                            summary_links.push((raw, site.0));
+                        }
+                    }
+                }
+            }
+            summary_links.sort_unstable();
+        }
+        let slice = crate::slice::build_slice_graph_with_links(
+            prog,
+            v0,
+            nodes,
+            &explored,
+            steps,
+            &summary_links,
+        );
+        stats.steps = steps as u64;
+        stats.set_spills = crate::stats::thread_spills() - spills_at_start;
+        crate::stats::add_to_global(&stats);
+        TsliceOutput { slice, trace, stats }
+    }
+}
+
 /// Runs TSLICE over per-program facts shared across criteria. The output
 /// is identical to [`tslice_with`] on the same program.
+///
+/// This is the shipping traversal: it borrows the pre-state from the arena,
+/// memoizes edges by state version, and dedupes pushes of edges already
+/// pending at the same pre-state version.
 pub fn tslice_with_facts(
     facts: &ProgramFacts<'_>,
     v0: VarAddr,
     cfg: &TsliceConfig,
 ) -> TsliceOutput {
     let prog = facts.program();
-    let crit = Criterion::new(v0, cfg.criterion_window);
     let summaries = cfg.use_call_summaries.then(|| facts.summaries());
-    let kills = cfg.use_vsa.then(|| facts.kills());
-    let kill_for = |i: InstId| kills.and_then(|k| k[i.0 as usize]);
-    let mut st = AnalysisState::new();
-    let mut trace: Vec<TraceEvent> = Vec::new();
-    let mut fired: Vec<RuleName> = Vec::new();
-    let mut stats = SliceStats::default();
-    let spills_at_start = crate::stats::thread_spills();
-
-    // Initial state "before I0": sp and fp hold the abstract stack base so
-    // prologue sequences (`push ebp; mov ebp, esp`) are trackable. The paper
-    // initializes V(I0) to ⊥; without a concrete sp no stack rule could ever
-    // fire, so the implementation seeds the stack registers.
-    let mut boot = InstState::default();
-    boot.reg_assign(Reg::Esp, ValueSet::singleton(AbsValue::Const(STACK_BASE)));
-    boot.reg_assign(Reg::Ebp, ValueSet::singleton(AbsValue::Const(STACK_BASE)));
-
-    // I0: the first instruction operating on v0 (see the module docs).
-    let Some(entry) = crate::sslice::first_access(prog, v0) else {
-        let slice = build_slice_graph(prog, v0, Vec::new(), &HashSet::new(), 0);
-        return TsliceOutput { slice, trace, stats };
+    let Some(mut w) = Walk::start(prog, v0, cfg, summaries) else {
+        return unreached(prog, v0);
     };
-    let mut stack: Vec<Work> = Vec::new();
-    let mut steps = 0usize;
+    let mut scratch = InstState::default();
+    let mut memo: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
+    let mut pending: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
+    // Snapshot sizes are cached per (record, version): states stabilize
+    // quickly, so most pops reuse the cached size instead of walking the
+    // stack map.
+    let mut size_cache: FxHashMap<u32, (u32, u64)> = FxHashMap::default();
 
-    // Process the entry against the boot state, then seed its successors.
-    // The bootstrap edge has no `pre` instruction and is not a counted step.
-    {
-        let cur = st.get_mut(entry);
-        let changed = merge_and_transfer(
-            prog,
-            &crit,
-            cfg,
-            &boot,
-            cur,
-            entry,
-            kill_for(entry),
-            &mut fired,
-            &mut stats,
-        );
+    while let Some(Work { pre, i, ctx, pre_ver }) = w.stack.pop() {
+        pending.remove(&(pre.0, i.0, pre_ver));
+        // Line 8: once faith is exhausted, the path is cut. A cut pop does
+        // no transfer work and does not consume step budget.
+        if w.st.faith(pre) <= 0.0 {
+            w.stats.faith_cut_pops += 1;
+            continue;
+        }
+        if w.steps >= cfg.max_steps {
+            break;
+        }
+        w.steps += 1;
+        // Every counted pop is one snapshot the reference traversal deep-
+        // clones.
+        let pre_cur_ver = w.st.version(pre);
+        w.stats.snapshot_bytes_avoided += match size_cache.get(&pre.0) {
+            Some(&(v, b)) if v == pre_cur_ver => b,
+            _ => {
+                let b = w.st.snapshot_bytes(pre) as u64;
+                size_cache.insert(pre.0, (pre_cur_ver, b));
+                b
+            }
+        };
+        // If neither endpoint's state changed since this exact edge was last
+        // processed, the join + transfer are provably no-ops: skip them.
+        // Faith still decays — the pop is observable through `F` — so the
+        // memo only elides state work, never a visit. Disabled under
+        // tracing, where every pop must log its rule firings.
+        let key = (pre.0, i.0);
+        let vers = (pre_cur_ver, w.st.version(i));
+        if !cfg.trace && memo.get(&key) == Some(&vers) {
+            w.stats.merges_skipped += 1;
+            apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+            continue;
+        }
+        let summary = summary_for_edge(prog, summaries, pre, i);
+        let changed = if pre == i || summary.is_some() {
+            // Two edge shapes need a scratch copy of the pre-state: a
+            // self-loop (the split borrow is impossible) and a summary edge
+            // (the pre-state is transformed before the join, and the arena
+            // record must stay untouched). Both reuse the one scratch buffer.
+            match w.st.get(pre) {
+                Some(s) => scratch.clone_from(s),
+                None => scratch = InstState::default(),
+            }
+            if let Some(sum) = summary {
+                apply_call_summary(&mut scratch, sum);
+                w.stats.summary_edges += 1;
+            }
+            let cur = w.st.get_mut(i);
+            merge_and_transfer(prog, &w.crit, cfg, &scratch, cur, i, &mut w.fired)
+        } else {
+            let (pre_state, cur) = w.st.pair_mut(pre, i);
+            merge_and_transfer(prog, &w.crit, cfg, pre_state, cur, i, &mut w.fired)
+        };
         if changed {
-            st.bump(entry);
+            w.st.bump(i);
         }
-    }
-    let faith0 = apply_faith(&mut st, cfg, prog, entry, None);
-    record_trace(cfg, &mut trace, &st, entry, &fired, faith0);
-    // Line 3: D(I0) = true — the first access is dependent by definition.
-    if st.get_mut(entry).mark_dep(0) {
-        st.bump(entry);
-    }
-    push_successors(prog, entry, &None, &mut stack, &st, None, summaries, &mut stats);
-
-    if cfg.reference_mode {
-        // Reference traversal: deep-snapshot the pre-state per edge.
-        while let Some(Work { pre, i, ctx, .. }) = stack.pop() {
-            // Line 8: once faith is exhausted, the path is cut. A cut pop
-            // does no transfer work and does not consume step budget.
-            if st.faith(pre) <= 0.0 {
-                stats.faith_cut_pops += 1;
-                continue;
-            }
-            if steps >= cfg.max_steps {
-                break;
-            }
-            steps += 1;
-            let mut pre_state = st.snapshot(pre);
-            if let Some(sum) = summary_for_edge(prog, summaries, pre, i) {
-                apply_call_summary(&mut pre_state, sum);
-                stats.summary_edges += 1;
-            }
-            let cur = st.get_mut(i);
-            let changed = merge_and_transfer(
+        memo.insert(key, (w.st.version(pre), w.st.version(i)));
+        let faith = apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+        w.record_trace(i, faith);
+        // Line 11: descend only if (V, S, D) changed.
+        if changed {
+            push_successors(
                 prog,
-                &crit,
-                cfg,
-                &pre_state,
-                cur,
                 i,
-                kill_for(i),
-                &mut fired,
-                &mut stats,
+                &ctx,
+                &mut w.stack,
+                &w.st,
+                Some(&mut pending),
+                summaries,
+                &mut w.stats,
             );
-            if changed {
-                st.bump(i);
-            }
-            let faith = apply_faith(&mut st, cfg, prog, i, Some(pre));
-            record_trace(cfg, &mut trace, &st, i, &fired, faith);
-            // Line 11: descend only if (V, S, D) changed.
-            if changed {
-                push_successors(prog, i, &ctx, &mut stack, &st, None, summaries, &mut stats);
-            }
-        }
-    } else {
-        // Fast traversal: borrow the pre-state from the arena, memoize edges
-        // by state version, and dedupe pushes of edges already pending at
-        // the same pre-state version.
-        let mut scratch = InstState::default();
-        let mut memo: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
-        let mut pending: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
-        // Snapshot sizes are cached per (record, version): states stabilize
-        // quickly, so most pops reuse the cached size instead of walking the
-        // stack map.
-        let mut size_cache: FxHashMap<u32, (u32, u64)> = FxHashMap::default();
-
-        while let Some(Work { pre, i, ctx, pre_ver }) = stack.pop() {
-            pending.remove(&(pre.0, i.0, pre_ver));
-            if st.faith(pre) <= 0.0 {
-                stats.faith_cut_pops += 1;
-                continue;
-            }
-            if steps >= cfg.max_steps {
-                break;
-            }
-            steps += 1;
-            // Every counted pop is one snapshot the reference path would
-            // have deep-cloned.
-            let pre_cur_ver = st.version(pre);
-            stats.snapshot_bytes_avoided += match size_cache.get(&pre.0) {
-                Some(&(v, b)) if v == pre_cur_ver => b,
-                _ => {
-                    let b = st.snapshot_bytes(pre) as u64;
-                    size_cache.insert(pre.0, (pre_cur_ver, b));
-                    b
-                }
-            };
-            // If neither endpoint's state changed since this exact edge was
-            // last processed, the join + transfer are provably no-ops: skip
-            // them. Faith still decays — the pop is observable through `F` —
-            // so the memo only elides state work, never a visit. Disabled
-            // under tracing, where every pop must log its rule firings.
-            let key = (pre.0, i.0);
-            let vers = (pre_cur_ver, st.version(i));
-            if !cfg.trace && memo.get(&key) == Some(&vers) {
-                stats.merges_skipped += 1;
-                apply_faith(&mut st, cfg, prog, i, Some(pre));
-                continue;
-            }
-            let summary = summary_for_edge(prog, summaries, pre, i);
-            let changed = if pre == i || summary.is_some() {
-                // Two edge shapes need a scratch copy of the pre-state: a
-                // self-loop (the split borrow is impossible) and a summary
-                // edge (the pre-state is transformed before the join, and
-                // the arena record must stay untouched). Both reuse the one
-                // scratch buffer.
-                match st.get(pre) {
-                    Some(s) => scratch.clone_from(s),
-                    None => scratch = InstState::default(),
-                }
-                if let Some(sum) = summary {
-                    apply_call_summary(&mut scratch, sum);
-                    stats.summary_edges += 1;
-                }
-                let cur = st.get_mut(i);
-                merge_and_transfer(
-                    prog,
-                    &crit,
-                    cfg,
-                    &scratch,
-                    cur,
-                    i,
-                    kill_for(i),
-                    &mut fired,
-                    &mut stats,
-                )
-            } else {
-                let (pre_state, cur) = st.pair_mut(pre, i);
-                merge_and_transfer(
-                    prog,
-                    &crit,
-                    cfg,
-                    pre_state,
-                    cur,
-                    i,
-                    kill_for(i),
-                    &mut fired,
-                    &mut stats,
-                )
-            };
-            if changed {
-                st.bump(i);
-            }
-            memo.insert(key, (st.version(pre), st.version(i)));
-            let faith = apply_faith(&mut st, cfg, prog, i, Some(pre));
-            record_trace(cfg, &mut trace, &st, i, &fired, faith);
-            if changed {
-                push_successors(
-                    prog,
-                    i,
-                    &ctx,
-                    &mut stack,
-                    &st,
-                    Some(&mut pending),
-                    summaries,
-                    &mut stats,
-                );
-            }
         }
     }
+    w.finish(v0)
+}
 
-    let explored: HashSet<u32> = st.iter().map(|(id, _)| id.0).collect();
-    let nodes: Vec<SliceNode> = st
-        .iter()
-        .filter(|(_, s)| s.dep)
-        .map(|(id, s)| SliceNode { inst: id, faith: st.faith(id), indirection: s.indirection })
-        .collect();
-    // Summary edges the traversal could take (call site → return site, both
-    // explored) are CFG links for graph contraction: without them, a slice
-    // carried past an opaque callee would be disconnected from its far side.
-    // Derived from the explored set alone, so fast and reference mode agree.
-    let mut summary_links: Vec<(u32, u32)> = Vec::new();
-    if summaries.is_some() {
-        for &raw in &explored {
-            let id = InstId(raw);
-            if let InstKind::Call { target: CallTarget::Direct(_) } = &prog.inst(id).kind {
-                if let Some(site) = prog.return_site(id) {
-                    if explored.contains(&site.0) {
-                        summary_links.push((raw, site.0));
-                    }
-                }
-            }
+/// The reference traversal: Algorithm 1 as written, deep-snapshotting the
+/// pre-state of every edge. Produces exactly the slice and trace of
+/// [`tslice_with`]; it exists as the oracle for the equivalence tests and
+/// is not part of the shipping path.
+#[doc(hidden)]
+pub fn tslice_reference(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> TsliceOutput {
+    let facts = ProgramFacts::new(prog);
+    let summaries = cfg.use_call_summaries.then(|| facts.summaries());
+    let Some(mut w) = Walk::start(prog, v0, cfg, summaries) else {
+        return unreached(prog, v0);
+    };
+    while let Some(Work { pre, i, ctx, .. }) = w.stack.pop() {
+        if w.st.faith(pre) <= 0.0 {
+            w.stats.faith_cut_pops += 1;
+            continue;
         }
-        summary_links.sort_unstable();
+        if w.steps >= cfg.max_steps {
+            break;
+        }
+        w.steps += 1;
+        let mut pre_state = w.st.snapshot(pre);
+        if let Some(sum) = summary_for_edge(prog, summaries, pre, i) {
+            apply_call_summary(&mut pre_state, sum);
+            w.stats.summary_edges += 1;
+        }
+        let cur = w.st.get_mut(i);
+        let changed = merge_and_transfer(prog, &w.crit, cfg, &pre_state, cur, i, &mut w.fired);
+        if changed {
+            w.st.bump(i);
+        }
+        let faith = apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+        w.record_trace(i, faith);
+        if changed {
+            push_successors(prog, i, &ctx, &mut w.stack, &w.st, None, summaries, &mut w.stats);
+        }
     }
-    let slice = crate::slice::build_slice_graph_with_links(
-        prog,
-        v0,
-        nodes,
-        &explored,
-        steps,
-        &summary_links,
-    );
-    stats.steps = steps as u64;
-    stats.set_spills = crate::stats::thread_spills() - spills_at_start;
-    crate::stats::add_to_global(&stats);
-    TsliceOutput { slice, trace, stats }
+    w.finish(v0)
 }
 
 /// The join + transfer for one `(pre, i)` edge (Algorithm 1, lines 9 and 11).
 /// Returns whether `(V(i), S(i), D(i))` changed. Pure with respect to the
 /// analysis state: both traversals funnel through here, which is what keeps
-/// them semantically identical. `vsa_kill` is `i`'s static must-write fact,
-/// if any; `stats` only counts `[Mov-dr-kill]` firings.
-#[allow(clippy::too_many_arguments)]
+/// them semantically identical.
 fn merge_and_transfer(
     prog: &Program,
     crit: &Criterion,
@@ -425,22 +430,15 @@ fn merge_and_transfer(
     pre_state: &InstState,
     cur: &mut InstState,
     i: InstId,
-    vsa_kill: Option<MustWrite>,
     fired: &mut Vec<RuleName>,
-    stats: &mut SliceStats,
 ) -> bool {
     let inst = prog.inst(i);
     let func = prog.func_of(i);
     let ret_addr = prog.return_site(i).map(|r| prog.inst(r).addr as i64);
 
     fired.clear();
-    let mut changed = cur.merge_from(pre_state);
-    let out = transfer(inst, pre_state, cur, crit, func, ret_addr, cfg, vsa_kill, fired);
-    if out.vsa_kill {
-        stats.vsa_kills += 1;
-    }
-    changed |= out.changed;
-    changed
+    let changed = cur.merge_from(pre_state);
+    transfer(inst, pre_state, cur, crit, func, ret_addr, cfg, fired) | changed
 }
 
 /// Faith decay (Algorithm 1, line 10) plus the indirect-call path cut.
@@ -466,25 +464,6 @@ fn apply_faith(
         st.zero_faith(i);
     }
     faith
-}
-
-/// Appends one [`TraceEvent`] when tracing is enabled.
-fn record_trace(
-    cfg: &TsliceConfig,
-    trace: &mut Vec<TraceEvent>,
-    st: &AnalysisState,
-    i: InstId,
-    fired: &[RuleName],
-    faith: f64,
-) {
-    if cfg.trace {
-        trace.push(TraceEvent {
-            inst: i,
-            rules: fired.to_vec(),
-            faith,
-            dep: st.get(i).map(|s| s.dep).unwrap_or(false),
-        });
-    }
 }
 
 /// The decay function of Algorithm 1, line 5.
@@ -808,11 +787,7 @@ mod tests {
         let prog = little_program(v0);
         for cfg in [TsliceConfig::default(), TsliceConfig::with_trace()] {
             let fast = tslice_with(&prog, VarAddr::Global(MemAddr(v0)), &cfg);
-            let refr = tslice_with(
-                &prog,
-                VarAddr::Global(MemAddr(v0)),
-                &TsliceConfig { reference_mode: true, ..cfg },
-            );
+            let refr = tslice_reference(&prog, VarAddr::Global(MemAddr(v0)), &cfg);
             assert_eq!(fast.slice, refr.slice);
             assert_eq!(fast.trace, refr.trace);
         }
@@ -914,11 +889,7 @@ mod tests {
         for prog in [little_program(v0), opaque_helper_program(v0)] {
             let cfg = TsliceConfig::with_call_summaries();
             let fast = tslice_with(&prog, VarAddr::Global(MemAddr(v0)), &cfg);
-            let refr = tslice_with(
-                &prog,
-                VarAddr::Global(MemAddr(v0)),
-                &TsliceConfig { reference_mode: true, ..cfg },
-            );
+            let refr = tslice_reference(&prog, VarAddr::Global(MemAddr(v0)), &cfg);
             assert_eq!(fast.slice, refr.slice);
             assert_eq!(fast.stats.summary_edges, refr.stats.summary_edges);
         }
@@ -980,8 +951,8 @@ mod tests {
     /// `main` loads `v0` into `esi` and calls `helper`, which parks the
     /// dependent value in a frame slot, overwrites that slot through a
     /// *computed* register (`lea edi, [ebp-8]; mov [edi], 0`), then reads
-    /// the slot back. Without VSA the store through `edi` has no memory
-    /// effect in the domain, so the read-back sees the stale `(ref, 0)`.
+    /// the slot back. The store through `edi` has no memory effect in the
+    /// domain, so the read-back sees the stale `(ref, 0)`.
     fn computed_store_program(v0: u64) -> Program {
         let text = format!(
             "func helper {{\n\
@@ -1008,59 +979,19 @@ mod tests {
     }
 
     #[test]
-    fn vsa_kills_stale_slot_values_through_computed_stores() {
+    fn computed_store_slice_stays_within_sslice() {
+        // The stale read-back is a spurious dependence, but TSLICE ⊆ SSLICE
+        // must still hold: the stale value never pulls in an instruction
+        // SSLICE lacks.
         let v0 = 0x74404u64;
         let prog = computed_store_program(v0);
         let crit = VarAddr::Global(tiara_ir::MemAddr(v0));
-        let base = tslice_with(&prog, crit, &TsliceConfig::default());
-        let vsa = tslice_with(&prog, crit, &TsliceConfig::with_vsa());
+        let out = tslice_with(&prog, crit, &TsliceConfig::default());
         // I6 is `mov ecx, [ebp-8]`, the read-back after the computed store.
-        assert!(base.slice.contains(InstId(6)), "baseline reads the stale dependent value");
-        assert_eq!(base.stats.vsa_kills, 0);
-        assert!(!vsa.slice.contains(InstId(6)), "the must-write kill removes the stale value");
-        assert!(vsa.stats.vsa_kills > 0, "the kill is counted");
-        assert!(vsa.slice.num_nodes() < base.slice.num_nodes());
-    }
-
-    #[test]
-    fn vsa_refined_slice_stays_within_sslice() {
-        // TSLICE ⊆ SSLICE must survive the refinement: a kill only removes
-        // spurious dependences, it never adds instructions SSLICE lacks.
-        let v0 = 0x74404u64;
-        let prog = computed_store_program(v0);
-        let crit = VarAddr::Global(tiara_ir::MemAddr(v0));
-        let vsa = tslice_with(&prog, crit, &TsliceConfig::with_vsa());
+        assert!(out.slice.contains(InstId(6)), "the read-back sees the stale dependent value");
         let ss = crate::sslice::sslice(&prog, crit);
-        for node in &vsa.slice.nodes {
+        for node in &out.slice.nodes {
             assert!(ss.contains(node.inst), "tslice node {:?} missing from sslice", node.inst);
-        }
-    }
-
-    #[test]
-    fn vsa_mode_is_bitwise_identical_when_no_facts_refine() {
-        // `little_program` has no store through a computed register, so the
-        // must-write map is empty and `--vsa` must change nothing at all.
-        let v0 = 0x74404u64;
-        let prog = little_program(v0);
-        let crit = VarAddr::Global(tiara_ir::MemAddr(v0));
-        for base_cfg in [TsliceConfig::default(), TsliceConfig::with_trace()] {
-            let base = tslice_with(&prog, crit, &base_cfg);
-            let vsa = tslice_with(&prog, crit, &TsliceConfig { use_vsa: true, ..base_cfg });
-            assert_eq!(base.slice, vsa.slice);
-            assert_eq!(base.trace, vsa.trace);
-            assert_eq!(vsa.stats.vsa_kills, 0);
-        }
-    }
-
-    #[test]
-    fn vsa_mode_fast_path_matches_reference_mode() {
-        let v0 = 0x74404u64;
-        let crit = VarAddr::Global(tiara_ir::MemAddr(v0));
-        for prog in [computed_store_program(v0), little_program(v0)] {
-            let cfg = TsliceConfig::with_vsa();
-            let fast = tslice_with(&prog, crit, &cfg);
-            let refr = tslice_with(&prog, crit, &TsliceConfig { reference_mode: true, ..cfg });
-            assert_eq!(fast.slice, refr.slice);
         }
     }
 
@@ -1071,12 +1002,8 @@ mod tests {
         let out = tslice_with(&prog, VarAddr::Global(MemAddr(v0)), &TsliceConfig::default());
         assert_eq!(out.stats.steps, out.slice.steps as u64);
         assert!(out.stats.snapshot_bytes_avoided > 0, "every pop avoids a snapshot");
-        // Reference mode avoids nothing by construction.
-        let refr = tslice_with(
-            &prog,
-            VarAddr::Global(MemAddr(v0)),
-            &TsliceConfig { reference_mode: true, ..TsliceConfig::default() },
-        );
+        // The reference traversal avoids nothing by construction.
+        let refr = tslice_reference(&prog, VarAddr::Global(MemAddr(v0)), &TsliceConfig::default());
         assert_eq!(refr.stats.snapshot_bytes_avoided, 0);
         assert_eq!(refr.stats.merges_skipped, 0);
     }

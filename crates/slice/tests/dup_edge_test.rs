@@ -1,6 +1,6 @@
 // Appended as a test into tslice.rs test module? Easier: an integration test in crates/slice/tests.
 use tiara_ir::{InstKind, MemAddr, Opcode, Operand, ProgramBuilder, Reg, VarAddr};
-use tiara_slice::{tslice_with, TsliceConfig};
+use tiara_slice::{tslice_reference, tslice_with, TsliceConfig};
 
 #[test]
 fn dup_succ_equivalence() {
@@ -22,7 +22,7 @@ fn dup_succ_equivalence() {
     let addr = VarAddr::Global(MemAddr(v0));
     let cfg = TsliceConfig::default();
     let fast = tslice_with(&prog, addr, &cfg);
-    let refr = tslice_with(&prog, addr, &TsliceConfig { reference_mode: true, ..cfg });
+    let refr = tslice_reference(&prog, addr, &cfg);
     eprintln!("fast stats: {:?}", fast.stats);
     eprintln!("refr stats: {:?}", refr.stats);
     assert_eq!(fast.slice, refr.slice, "slice mismatch");

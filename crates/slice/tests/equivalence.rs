@@ -1,14 +1,16 @@
 //! Fast-path ↔ reference-path equivalence.
 //!
-//! The arena-based hot loop (`reference_mode: false`) must be observationally
-//! identical to the snapshot-per-edge reference traversal: the same slice
+//! The arena-based hot loop (`tslice_with`) must be observationally
+//! identical to the snapshot-per-edge reference traversal
+//! (`tslice_reference`): the same slice
 //! nodes with the same faith and indirection, the same edges, the same step
 //! count, and — under tracing — the same rule firings in the same order.
 //! These tests drive both paths over synthetic binaries and compare outputs
 //! structurally (`Slice` and `TraceEvent` are `PartialEq`).
 
 use tiara_slice::{
-    tslice_with, tslice_with_facts, DecayFunction, ProgramFacts, TsliceConfig, TsliceOutput,
+    tslice_reference, tslice_with, tslice_with_facts, DecayFunction, ProgramFacts, TsliceConfig,
+    TsliceOutput,
 };
 use tiara_synth::{generate, ProjectSpec, TypeCounts};
 
@@ -32,16 +34,12 @@ fn small_spec(name: &str, index: usize, seed: u64) -> ProjectSpec {
     }
 }
 
-/// Like [`small_spec`] but with computed-address scenarios mixed in, so the
-/// VSA must-write facts actually refine something.
+/// Like [`small_spec`] but with computed-address scenarios mixed in: stores
+/// through computed registers, FPO frames and heap sites.
 fn computed_spec(name: &str, index: usize, seed: u64) -> ProjectSpec {
     let mut spec = small_spec(name, index, seed);
     spec.counts.computed = 4;
     spec
-}
-
-fn reference(cfg: &TsliceConfig) -> TsliceConfig {
-    TsliceConfig { reference_mode: true, ..cfg.clone() }
 }
 
 /// Asserts full observational equivalence for one (binary, criterion, cfg).
@@ -51,7 +49,7 @@ fn assert_equivalent(
     cfg: &TsliceConfig,
 ) -> (TsliceOutput, TsliceOutput) {
     let fast = tslice_with(&bin.program, v0, cfg);
-    let refr = tslice_with(&bin.program, v0, &reference(cfg));
+    let refr = tslice_reference(&bin.program, v0, cfg);
     assert_eq!(
         fast.slice, refr.slice,
         "slice mismatch for {} at {:?} (cfg: trace={}, decay={:?})",
@@ -101,8 +99,6 @@ fn fast_path_matches_reference_under_exponential_decay_and_tight_budget() {
         TsliceConfig { lea_tracks_pointer_arith: true, ..TsliceConfig::default() },
         TsliceConfig::with_call_summaries(),
         TsliceConfig { trace: true, ..TsliceConfig::with_call_summaries() },
-        TsliceConfig::with_vsa(),
-        TsliceConfig { trace: true, ..TsliceConfig::with_vsa() },
     ];
     for cfg in &variants {
         for (v0, _) in bin.labeled_vars().take(10) {
@@ -112,35 +108,18 @@ fn fast_path_matches_reference_under_exponential_decay_and_tight_budget() {
 }
 
 #[test]
-fn vsa_mode_stays_equivalent_on_computed_address_projects() {
-    // Projects with computed-address scenarios are where the must-write map
-    // is non-empty; fast and reference mode must still agree bit for bit,
-    // and turning VSA on without any facts firing must change nothing.
-    for seed in [5u64, 71] {
-        let bin = generate(&computed_spec("equiv_vsa", (seed % 8) as usize, seed));
-        for cfg in
-            [TsliceConfig::with_vsa(), TsliceConfig { trace: true, ..TsliceConfig::with_vsa() }]
-        {
-            for (v0, _) in bin.labeled_vars().take(10) {
-                assert_equivalent(&bin, v0, &cfg);
-            }
-        }
-    }
-}
-
-#[test]
 fn shared_program_facts_match_per_call_slicing() {
     // One `ProgramFacts` shared across every criterion of a program must
     // give exactly what `tslice_with` computes per call: slice, trace and
-    // every counter, under summaries, VSA, and both.
+    // every counter, with and without summaries.
     let mut summary_edges = 0;
     for seed in [5u64, 71] {
         let bin = generate(&computed_spec("equiv_facts", (seed % 8) as usize, seed));
         let facts = ProgramFacts::new(&bin.program);
         for cfg in [
+            TsliceConfig::default(),
             TsliceConfig::with_call_summaries(),
-            TsliceConfig::with_vsa(),
-            TsliceConfig { use_call_summaries: true, trace: true, ..TsliceConfig::with_vsa() },
+            TsliceConfig { trace: true, ..TsliceConfig::with_call_summaries() },
         ] {
             for (v0, _) in bin.labeled_vars() {
                 let shared = tslice_with_facts(&facts, v0, &cfg);
@@ -151,7 +130,6 @@ fn shared_program_facts_match_per_call_slicing() {
                 summary_edges += shared.stats.summary_edges;
             }
         }
-        assert!(facts.kills().iter().any(Option::is_some), "the must-write table holds facts");
     }
     assert!(summary_edges > 0, "summary edges were taken");
 }
@@ -159,8 +137,8 @@ fn shared_program_facts_match_per_call_slicing() {
 #[test]
 fn fast_path_does_real_work_savings() {
     // Sanity that the counters are live on realistic inputs: across a whole
-    // project some slice must avoid snapshot bytes, and reference mode must
-    // report zero savings.
+    // project some slice must avoid snapshot bytes, and the reference
+    // traversal must report zero savings.
     let bin = generate(&small_spec("equiv_stats", 2, 7));
     let cfg = TsliceConfig::default();
     let mut avoided = 0u64;
@@ -187,19 +165,13 @@ mod random_programs {
             let index = rng.random_range(0usize..11);
             let trace = rng.random_bool(0.5);
             let use_call_summaries = rng.random_bool(0.5);
-            let use_vsa = rng.random_bool(0.5);
             let max_steps = rng.random_range(32usize..4096);
             let bin = generate(&small_spec("equiv_prop", index, seed));
-            let cfg = TsliceConfig {
-                trace,
-                max_steps,
-                use_call_summaries,
-                use_vsa,
-                ..TsliceConfig::default()
-            };
+            let cfg =
+                TsliceConfig { trace, max_steps, use_call_summaries, ..TsliceConfig::default() };
             for (v0, _) in bin.labeled_vars().take(6) {
                 let fast = tslice_with(&bin.program, v0, &cfg);
-                let refr = tslice_with(&bin.program, v0, &reference(&cfg));
+                let refr = tslice_reference(&bin.program, v0, &cfg);
                 assert_eq!(&fast.slice, &refr.slice);
                 assert_eq!(&fast.trace, &refr.trace);
             }

@@ -13,8 +13,39 @@ use std::sync::OnceLock;
 
 use rand::{check, Rng};
 use tiara::{ClassifierConfig, Error, Tiara, TiaraConfig};
-use tiara_container::{fnv1a64, kind, AlignedBytes, Reader, FNV_OFFSET, HEADER_LEN, TOC_ENTRY_LEN};
-use tiara_synth::{generate, ProjectSpec, TypeCounts};
+use tiara_container::{
+    fnv1a64, kind, AlignedBytes, Reader, Writer, FNV_OFFSET, HEADER_LEN, TOC_ENTRY_LEN,
+};
+use tiara_ir::VarAddr;
+use tiara_synth::{generate, Binary, ProjectSpec, TypeCounts};
+
+/// The program every fixture model is trained on and queried against.
+fn binary() -> &'static Binary {
+    static BIN: OnceLock<Binary> = OnceLock::new();
+    BIN.get_or_init(|| {
+        generate(&ProjectSpec {
+            name: "rob".into(),
+            index: 2,
+            seed: 33,
+            counts: TypeCounts { vector: 2, map: 1, primitive: 3, ..Default::default() },
+        })
+    })
+}
+
+fn trained() -> Tiara {
+    let bin = binary();
+    let mut t = Tiara::new(TiaraConfig::new().with_classifier(ClassifierConfig {
+        epochs: 2,
+        batch_size: 4,
+        ..Default::default()
+    }));
+    t.train(&[("rob", &bin.program, &bin.debug)]).unwrap();
+    t
+}
+
+fn addrs() -> Vec<VarAddr> {
+    binary().debug.iter().take(3).map(|v| v.addr).collect()
+}
 
 /// One trained container, built once per test binary: a tiny model whose
 /// slice cache was warmed by real predictions before the snapshot, so the
@@ -22,22 +53,17 @@ use tiara_synth::{generate, ProjectSpec, TypeCounts};
 fn model_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let bin = generate(&ProjectSpec {
-            name: "rob".into(),
-            index: 2,
-            seed: 33,
-            counts: TypeCounts { vector: 2, map: 1, primitive: 3, ..Default::default() },
-        });
-        let mut t = Tiara::new(TiaraConfig::new().with_classifier(ClassifierConfig {
-            epochs: 2,
-            batch_size: 4,
-            ..Default::default()
-        }));
-        t.train(&[("rob", &bin.program, &bin.debug)]).unwrap();
-        let addrs: Vec<_> = bin.debug.iter().take(3).map(|v| v.addr).collect();
-        t.predict_batch(&bin.program, &addrs).unwrap();
+        let t = trained();
+        t.predict_batch(&binary().program, &addrs()).unwrap();
         t.to_container_bytes_with_cache()
     })
+}
+
+/// The same model saved without cache shards: bytes that depend on the
+/// model alone.
+fn plain_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| trained().to_container_bytes())
 }
 
 fn read_u64(b: &[u8], at: usize) -> u64 {
@@ -232,4 +258,58 @@ fn doctored_section_lengths_are_rejected() {
             assert!(is_persistence(&r), "len {} -> {} at TOC byte {}: must fail", old, newlen, at);
         }
     });
+}
+
+/// A default-config model's `.tc` bytes and content digest, captured from
+/// the writer that still had the `reference_mode` and `use_vsa` options:
+/// retiring them changed no byte of the file and no bit of the digest.
+#[test]
+fn default_model_bytes_and_digest_are_pinned() {
+    let bytes = plain_bytes();
+    assert_eq!(fnv1a64(FNV_OFFSET, bytes), 0x9e00_9dfa_976a_af13, "the .tc bytes moved");
+    let t = Tiara::from_container_bytes(bytes).unwrap();
+    assert_eq!(t.model_digest(), 0x7ecc_1029_db70_3fa2, "the model digest moved");
+}
+
+/// `bytes` re-encoded with the byte `from_end` positions before the end of
+/// section `k`'s payload set to `v` (every checksum recomputed).
+fn with_config_byte(bytes: &[u8], k: u32, from_end: usize, v: u8) -> Vec<u8> {
+    let reader = Reader::new(AlignedBytes::copy_from(bytes)).unwrap();
+    let mut w = Writer::new();
+    for e in reader.toc() {
+        let mut payload = reader.section(e.kind, e.index).unwrap().to_vec();
+        if e.kind == k {
+            let at = payload.len() - from_end;
+            assert_eq!(payload[at], 0, "retired bytes are written as 0");
+            payload[at] = v;
+        }
+        w.add_section(e.kind, e.index, payload);
+    }
+    w.finish()
+}
+
+fn prob_bits(t: &Tiara) -> Vec<u32> {
+    let preds = t.predict_batch(&binary().program, &addrs()).unwrap();
+    preds.iter().flat_map(|p| p.probs.iter().map(|x| x.to_bits())).collect()
+}
+
+/// The retired option bytes: the model config's trailing `reference_mode`
+/// and the slicer config's `reference_mode` and `use_vsa` (third-last and
+/// last). Files that set them still load and answer byte-identically;
+/// anything but a bool is corruption.
+#[test]
+fn retired_option_bytes_are_validated_then_ignored() {
+    let bytes = plain_bytes();
+    let want = prob_bits(&Tiara::from_container_bytes(bytes).unwrap());
+    for (k, from_end, what) in [
+        (kind::MODEL_CONFIG, 1, "model reference_mode"),
+        (kind::SLICER_CONFIG, 3, "slicer reference_mode"),
+        (kind::SLICER_CONFIG, 1, "use_vsa"),
+    ] {
+        let set = Tiara::from_container_bytes(&with_config_byte(bytes, k, from_end, 1))
+            .unwrap_or_else(|e| panic!("{what} = 1 must load: {e}"));
+        assert_eq!(prob_bits(&set), want, "{what} = 1 must not change any answer");
+        let bad = Tiara::from_container_bytes(&with_config_byte(bytes, k, from_end, 2));
+        assert!(is_persistence(&bad), "{what} = 2 must be rejected");
+    }
 }

@@ -280,6 +280,31 @@ fn two_pipelining_clients_finish_within_2x_of_each_other() {
 }
 
 #[test]
+fn a_burst_after_a_stall_is_answered_without_refusals() {
+    // What a reactor resuming from a 100 ms pause reads off one connection
+    // sending 1000 requests per second: 100 predicts in a single read. The
+    // default lane must hold all of them; none may be refused.
+    let _serial = serial();
+    let (_server, addr, reactor, bin) = start(ServeConfig::default());
+    let mut main = Client::connect(addr);
+    assert!(main.roundtrip(&upload_line(&bin, "p")).contains("\"ok\":true"));
+    let req = predict_req(&bin, 1, "");
+    assert!(main.roundtrip(&req).contains("\"ok\":true"), "warming the slice cache");
+
+    const BURST: usize = 100;
+    let burst = format!("{req}\n").repeat(BURST);
+    main.writer.write_all(burst.as_bytes()).unwrap();
+    for k in 0..BURST {
+        let resp = main.recv();
+        let v = parse(&resp).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "answer {k}: {resp}");
+    }
+
+    assert!(main.roundtrip("{\"op\":\"shutdown\"}").contains("\"ok\":true"));
+    reactor.join().unwrap().unwrap();
+}
+
+#[test]
 fn drain_with_a_partial_line_in_flight_closes_cleanly() {
     let _serial = serial();
     let (server, addr, reactor, _bin) = start(ServeConfig::default());

@@ -1,5 +1,5 @@
 //! Golden TSLICE counters: every labeled variable of two generated suites,
-//! sliced under the default, call-summary and VSA configurations, must
+//! sliced under the default and call-summary configurations, must
 //! reproduce a pinned slice digest and every [`SliceStats`] field.
 //!
 //! The slicer's hot loop is tuned for speed (the `ValueSet` join, shared
@@ -64,7 +64,6 @@ fn stats(
     set_spills: u64,
     worklist_hits: u64,
     summary_edges: u64,
-    vsa_kills: u64,
 ) -> SliceStats {
     SliceStats {
         steps,
@@ -74,7 +73,6 @@ fn stats(
         set_spills,
         worklist_hits,
         summary_edges,
-        vsa_kills,
     }
 }
 
@@ -84,39 +82,28 @@ fn check(seed: u64, name: &str, cfg: &TsliceConfig, want: (usize, u64, SliceStat
 }
 
 // Captured before the linear-time join and the shared per-program facts
-// landed. The VSA rows equal the default ones: no must-write fact fires on
-// these suites, so they pin that the hoisted VSA path changes nothing.
+// landed.
 
 #[test]
 fn golden_slices_and_counters_seed_1() {
-    let default = stats(132_680, 6_001, 70, 220_749_744, 17_239, 0, 0, 0);
+    let default = stats(132_680, 6_001, 70, 220_749_744, 17_239, 0, 0);
     check(1, "default", &TsliceConfig::default(), (170, 6_369_000_423_503_085_625, default));
     check(
         1,
         "summaries",
         &TsliceConfig::with_call_summaries(),
-        (
-            170,
-            3_344_557_116_141_128_394,
-            stats(166_799, 8_002, 11, 279_786_832, 21_422, 0, 1_641, 0),
-        ),
+        (170, 3_344_557_116_141_128_394, stats(166_799, 8_002, 11, 279_786_832, 21_422, 0, 1_641)),
     );
-    check(1, "vsa", &TsliceConfig::with_vsa(), (170, 6_369_000_423_503_085_625, default));
 }
 
 #[test]
 fn golden_slices_and_counters_seed_2() {
-    let default = stats(134_979, 6_057, 63, 248_017_392, 19_377, 0, 0, 0);
+    let default = stats(134_979, 6_057, 63, 248_017_392, 19_377, 0, 0);
     check(2, "default", &TsliceConfig::default(), (170, 3_198_337_767_432_039_492, default));
     check(
         2,
         "summaries",
         &TsliceConfig::with_call_summaries(),
-        (
-            170,
-            17_819_569_704_980_589_513,
-            stats(165_475, 7_266, 10, 294_430_528, 22_444, 0, 934, 0),
-        ),
+        (170, 17_819_569_704_980_589_513, stats(165_475, 7_266, 10, 294_430_528, 22_444, 0, 934)),
     );
-    check(2, "vsa", &TsliceConfig::with_vsa(), (170, 3_198_337_767_432_039_492, default));
 }

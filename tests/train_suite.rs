@@ -1,12 +1,16 @@
-//! Repository-level differential suite for the batched training engine
-//! (PR 8): the block-diagonal fast path must be bitwise identical to the
-//! retained per-sample reference tape (`ClassifierConfig::reference_mode`)
-//! across seeds, batch sizes, and thread counts.
+//! Repository-level differential suite for the batched training engine:
+//! a classifier trained by the block-diagonal fast path must be bitwise
+//! identical to a GCN of the same configuration trained on the per-batch
+//! reference tape (`Gcn::train_reference`), across seeds, batch sizes, and
+//! thread counts.
 //!
 //! Together with `par_suite.rs` this is the contract that lets the fast
 //! engine replace the tape wholesale: same bits, fewer seconds.
 
+use tiara::features::FEATURE_DIM;
 use tiara::{Classifier, ClassifierConfig, Dataset, Slicer};
+use tiara_gnn::{Gcn, GcnConfig};
+use tiara_ir::ContainerClass;
 use tiara_par::{set_global_threads, Executor};
 use tiara_synth::{generate, Binary, ProjectSpec, TypeCounts};
 
@@ -29,24 +33,39 @@ fn dataset(bin: &Binary) -> Dataset {
     )
 }
 
-fn train(ds: &Dataset, seed: u64, batch_size: usize, reference_mode: bool) -> Classifier {
-    let mut clf = Classifier::new(&ClassifierConfig {
-        epochs: 10,
-        seed,
-        batch_size,
-        reference_mode,
-        ..Default::default()
-    });
-    clf.train(ds).expect("nonempty dataset");
-    clf
+fn config(seed: u64, batch_size: usize) -> ClassifierConfig {
+    ClassifierConfig { epochs: 10, seed, batch_size, ..Default::default() }
 }
 
-/// The model's observable bits: every class probability over every sample.
-fn proba_bits(clf: &Classifier, ds: &Dataset) -> Vec<u32> {
+/// Every class probability over every sample, from a classifier trained on
+/// the batched engine.
+fn fast_bits(ds: &Dataset, seed: u64, batch_size: usize) -> Vec<u32> {
+    let mut clf = Classifier::new(&config(seed, batch_size));
+    clf.train(ds).expect("nonempty dataset");
     ds.samples
         .iter()
         .flat_map(|s| clf.predict_proba(&s.graph).into_iter().map(f32::to_bits))
         .collect()
+}
+
+/// The same bits from the reference tape: training and inference both run
+/// through `Gcn`'s tape entry points.
+fn reference_bits(ds: &Dataset, seed: u64, batch_size: usize) -> Vec<u32> {
+    let c = config(seed, batch_size);
+    let mut gcn = Gcn::new(GcnConfig {
+        input_dim: FEATURE_DIM,
+        hidden_dim: c.hidden_dim,
+        num_layers: c.num_layers,
+        aggregation: c.aggregation,
+        num_classes: ContainerClass::COUNT,
+        learning_rate: c.learning_rate,
+        epochs: c.epochs,
+        batch_size: c.batch_size,
+        seed: c.seed,
+    });
+    let graphs = ds.graphs();
+    gcn.train_reference(&graphs);
+    gcn.predict_proba_reference(&graphs).into_iter().flatten().map(f32::to_bits).collect()
 }
 
 #[test]
@@ -56,11 +75,9 @@ fn batched_engine_matches_reference_tape_across_seeds_and_batch_sizes() {
     set_global_threads(1);
     for seed in [7u64, 23] {
         for batch_size in [1usize, 4, 32] {
-            let fast = train(&ds, seed, batch_size, false);
-            let reference = train(&ds, seed, batch_size, true);
             assert_eq!(
-                proba_bits(&fast, &ds),
-                proba_bits(&reference, &ds),
+                fast_bits(&ds, seed, batch_size),
+                reference_bits(&ds, seed, batch_size),
                 "batched and reference training diverged at seed {seed}, batch {batch_size}"
             );
         }
@@ -72,13 +89,11 @@ fn batched_engine_matches_reference_tape_across_thread_counts() {
     let bin = training_binary(42);
     let ds = dataset(&bin);
     set_global_threads(1);
-    let reference = train(&ds, 7, 8, true);
-    let want = proba_bits(&reference, &ds);
+    let want = reference_bits(&ds, 7, 8);
     for threads in [1usize, 2, 4] {
         set_global_threads(threads);
-        let fast = train(&ds, 7, 8, false);
         assert_eq!(
-            proba_bits(&fast, &ds),
+            fast_bits(&ds, 7, 8),
             want,
             "batched training at {threads} threads diverged from the reference tape"
         );
