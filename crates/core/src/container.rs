@@ -609,31 +609,22 @@ fn digest_matrix(mut h: u64, m: &Matrix) -> u64 {
 
 /// A stable digest of the trained model — config plus every weight bit —
 /// independent of how the weights are stored (owned vs mapped). Two systems
-/// with equal digests predict bitwise identically.
+/// with equal digests predict bitwise identically. The config enters as its
+/// canonical `MODEL_CONFIG` bytes, so the digest moves only when those bytes
+/// or the weights do.
 pub(crate) fn model_digest(classifier: &Classifier) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = fnv1a64(FNV_OFFSET, &encode_model_config(classifier));
     if let Some(g) = classifier.gcn() {
-        h = fnv1a64(h, b"gcn");
-        // The text every digest has covered: the config's `Debug` rendering
-        // from before the retired `reference_mode` flag (always `false` in a
-        // servable model) left `GcnConfig`. Appending it keeps each model's
-        // digest, and with it the wire `digest` field, unchanged.
-        let text = format!("{:?}", g.config());
-        let text = text.strip_suffix(" }").unwrap_or(&text);
-        h = fnv1a64(h, format!("{text}, reference_mode: false }}").as_bytes());
         for m in g.conv_weights() {
             h = digest_matrix(h, m);
         }
         h = digest_matrix(h, g.head_weights());
     } else if let Some(m) = classifier.mlp() {
-        h = fnv1a64(h, b"mlp");
-        h = fnv1a64(h, format!("{:?}", m.config()).as_bytes());
         let (w1, w2, head) = m.weights();
         for m in [w1, w2, head] {
             h = digest_matrix(h, m);
         }
     }
-    h = fnv1a64(h, &[u8::from(classifier.is_trained())]);
     h
 }
 

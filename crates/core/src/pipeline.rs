@@ -642,23 +642,32 @@ mod tests {
         slice_cache::clear();
     }
 
-    #[test]
-    fn cache_shards_under_an_unknown_slicer_key_load_as_misses() {
-        // A shard persisted under a slicer key this build never produces
-        // (an older fingerprint scheme, or another slicer) must load
-        // cleanly and then simply never hit.
+    /// Persists a cache shard whose entries are keyed by `foreign(key)`,
+    /// where `key` is this build's default slicer key, and checks that the
+    /// shard loads cleanly and that every lookup under `key` then misses.
+    ///
+    /// Other tests slice [`e2e_binary`] under the default key into the
+    /// process-wide cache without holding `test_lock`, so this uses a
+    /// program of its own: no concurrent test can turn a lookup into a hit.
+    fn assert_foreign_shards_load_as_misses(foreign: impl Fn(u64) -> u64) {
         let _guard = crate::slice_cache::test_lock();
-        let bin = e2e_binary();
+        let bin = generate(&ProjectSpec {
+            name: "foreign-key".into(),
+            index: 1,
+            seed: 7_807,
+            counts: TypeCounts { list: 3, vector: 3, map: 3, primitive: 8, ..Default::default() },
+        });
         let mut tiara = Tiara::new(TiaraConfig::new().with_classifier(ClassifierConfig {
             epochs: 1,
             batch_size: 8,
             ..Default::default()
         }));
-        tiara.train(&[("e2e", &bin.program, &bin.debug)]).unwrap();
+        tiara.train(&[("foreign-key", &bin.program, &bin.debug)]).unwrap();
         let addrs: Vec<_> = bin.labeled_vars().map(|(a, _)| a).collect();
         let prog_fp = slice_cache::program_fingerprint(&bin.program);
         let slicer_fp = slice_cache::slicer_fingerprint(tiara.slicer());
-        let foreign = !slicer_fp;
+        let foreign = foreign(slicer_fp);
+        assert_ne!(foreign, slicer_fp);
         slice_cache::clear();
         for &addr in &addrs {
             slice_cache::get_or_slice(prog_fp, foreign, addr, || {
@@ -678,6 +687,21 @@ mod tests {
         }
         assert_eq!(computed, addrs.len(), "every lookup under the current key misses");
         slice_cache::clear();
+    }
+
+    #[test]
+    fn cache_shards_under_an_unknown_slicer_key_load_as_misses() {
+        // A shard persisted under a slicer key this build never produces
+        // (an older fingerprint scheme, or another slicer) must load
+        // cleanly and then simply never hit.
+        assert_foreign_shards_load_as_misses(|key| !key);
+    }
+
+    #[test]
+    fn cache_shards_sliced_under_the_old_value_set_cap_load_as_misses() {
+        // Builds with value-set cap 48 keyed the default slicer by its `.tc`
+        // encoding alone; their slices differ from this build's.
+        assert_foreign_shards_load_as_misses(|_| slice_cache::PRE_CAP_DEFAULT_KEY);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use tiara_container::{fnv1a64, FNV_OFFSET};
 use tiara_ir::{Program, VarAddr};
-use tiara_slice::Slice;
+use tiara_slice::{Slice, ValueSet};
 
 use crate::dataset::Slicer;
 
@@ -70,8 +70,14 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
 /// different `TsliceConfig`s never share cache entries: FNV-1a over the
 /// slicer's `.tc` encoding, so the key is stable across builds and
 /// toolchains and persisted cache shards stay valid.
+///
+/// The value-set cap ([`ValueSet::CAP`]) changes slices but is a constant,
+/// not a knob, so the `.tc` encoding does not carry it; it is hashed in
+/// after the encoding. A build with another cap therefore never answers
+/// from shards sliced under the old one.
 pub fn slicer_fingerprint(slicer: &Slicer) -> u64 {
-    fnv1a64(FNV_OFFSET, &crate::container::encode_slicer(slicer))
+    let h = fnv1a64(FNV_OFFSET, &crate::container::encode_slicer(slicer));
+    fnv1a64(h, &(ValueSet::CAP as u64).to_le_bytes())
 }
 
 fn shard_of(key: &Key) -> usize {
@@ -171,6 +177,12 @@ pub(crate) fn restore(entries: impl IntoIterator<Item = SnapshotEntry>) {
     }
 }
 
+/// The default slicer's key in builds whose fingerprint covered only the
+/// `.tc` slicer encoding (value-set cap 48). Shards persisted under it must
+/// load as misses.
+#[cfg(test)]
+pub(crate) const PRE_CAP_DEFAULT_KEY: u64 = 0xbee4_772b_0457_6058;
+
 /// Serializes tests (here and in [`crate::pipeline`]) that clear the cache,
 /// toggle [`set_enabled`], or assert on the global counters. Other core
 /// tests use the cache too, but only ever with it enabled, which every
@@ -227,7 +239,8 @@ mod tests {
         // The key of every persisted cache shard: a change here orphans the
         // shards saved by earlier builds, so it must be deliberate.
         let default = slicer_fingerprint(&Slicer::default());
-        assert_eq!(default, 0xbee4_772b_0457_6058, "default slicer fingerprint moved");
+        assert_eq!(default, 0x164a_d5f2_dbca_8a50, "default slicer fingerprint moved");
+        assert_ne!(default, PRE_CAP_DEFAULT_KEY, "the value-set cap is part of the key");
         let knobs = [
             Slicer::Sslice,
             Slicer::Tslice(TsliceConfig::with_call_summaries()),

@@ -2,7 +2,7 @@
 //!
 //! The paper's pipeline leans on ad-hoc local reasoning (the slicer's
 //! kill rules, the verifier's single-purpose walks). This crate supplies the
-//! missing substrate: an explicit basic-block CFG ([`cfg`]), a generic
+//! missing substrate: an explicit basic-block CFG ([`cfg`](mod@cfg)), a generic
 //! worklist solver over join-semilattices ([`solver`]), and four concrete
 //! analyses —
 //!

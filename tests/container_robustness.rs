@@ -260,15 +260,17 @@ fn doctored_section_lengths_are_rejected() {
     });
 }
 
-/// A default-config model's `.tc` bytes and content digest, captured from
-/// the writer that still had the `reference_mode` and `use_vsa` options:
-/// retiring them changed no byte of the file and no bit of the digest.
+/// A default-config model's `.tc` bytes and content digest. The bytes were
+/// captured from the writer that still had the `reference_mode` and
+/// `use_vsa` options: retiring them changed no byte of the file. The digest
+/// was re-captured when it switched from the config's `Debug` text to its
+/// canonical `MODEL_CONFIG` bytes.
 #[test]
 fn default_model_bytes_and_digest_are_pinned() {
     let bytes = plain_bytes();
     assert_eq!(fnv1a64(FNV_OFFSET, bytes), 0x9e00_9dfa_976a_af13, "the .tc bytes moved");
     let t = Tiara::from_container_bytes(bytes).unwrap();
-    assert_eq!(t.model_digest(), 0x7ecc_1029_db70_3fa2, "the model digest moved");
+    assert_eq!(t.model_digest(), 0x175a_298a_f47e_52a1, "the model digest moved");
 }
 
 /// `bytes` re-encoded with the byte `from_end` positions before the end of
