@@ -18,7 +18,7 @@
 //!   become a new criterion class ([`VarAddr::Heap`]).
 
 use tiara_dataflow::vsa::{vsa_function, Region, ENUM_LIMIT};
-use tiara_ir::{detect_frame_mode, FrameMode, Operand, Program, VarAddr};
+use tiara_ir::{detect_frame_mode, FrameMode, Function, Operand, Program, VarAddr};
 
 /// Tunable knobs of the discovery pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,9 +107,10 @@ pub fn discover_variables(prog: &Program, cfg: &DiscoveryConfig) -> Vec<VarAddr>
 
 /// Discovers candidate variable addresses with value-set analysis.
 ///
-/// Runs [`tiara_dataflow::vsa`] per function and resolves every explicit
-/// memory operand (`Deref` *and* address-forming `Loc`, matching the
-/// heuristic's sensitivity) to abstract a-locs:
+/// Runs [`tiara_dataflow::vsa`] per function, on the shared `tiara_par`
+/// executor, and resolves every explicit memory operand (`Deref` *and*
+/// address-forming `Loc`, matching the heuristic's sensitivity) to
+/// abstract a-locs:
 ///
 /// * `Global` points cluster into global candidates, exactly like the
 ///   heuristic's absolute operands — but now also through computed bases;
@@ -125,71 +126,87 @@ pub fn discover_variables(prog: &Program, cfg: &DiscoveryConfig) -> Vec<VarAddr>
 /// [`ENUM_LIMIT`] points in a region) contribute nothing — an unresolved
 /// access never pollutes precision.
 pub fn discover_variables_vsa(prog: &Program, cfg: &DiscoveryConfig) -> Vec<VarAddr> {
-    let mut globals: Vec<i64> = Vec::new();
-    let mut per_func: Vec<Vec<i64>> = vec![Vec::new(); prog.funcs().len()];
-    let mut heap_sites: std::collections::BTreeSet<tiara_ir::InstId> = Default::default();
-
-    for f in prog.funcs() {
-        let framed = matches!(detect_frame_mode(prog, f.id), FrameMode::FramePointer);
-        let res = vsa_function(prog, f.id);
-        for id in f.inst_ids() {
-            if !res.reached(id) {
-                continue;
-            }
-            let fact = res.before(id);
-            for opr in prog.inst(id).kind.operands() {
-                let loc = match opr {
-                    Operand::Deref(loc) | Operand::Loc(loc) => loc,
-                    Operand::Imm(_) => continue,
-                };
-                let addr = fact.eval_addr(loc);
-                let Some(regions) = addr.regions() else { continue };
-                for (region, si) in regions {
-                    match region {
-                        Region::Heap(site) => {
-                            heap_sites.insert(*site);
-                        }
-                        _ if si.count() > ENUM_LIMIT => {}
-                        Region::Global => {
-                            globals.extend(si.points().filter(|&p| p >= 0));
-                        }
-                        Region::Frame(func) if *func == f.id => {
-                            for frame_off in si.points() {
-                                if framed {
-                                    // `ebp` sits at entry `esp` − 4.
-                                    let off = frame_off + 4;
-                                    let in_spills = -cfg.spill_region <= off && off < 0;
-                                    let in_linkage = (0..8).contains(&off);
-                                    if !in_spills && !in_linkage {
-                                        per_func[f.id.index()].push(off);
-                                    }
-                                } else if !(0..8).contains(&frame_off) {
-                                    per_func[f.id.index()].push(frame_off);
-                                }
-                            }
-                        }
-                        Region::Frame(_) => {}
-                    }
-                }
-            }
-        }
-    }
-
+    // Functions are analysed independently on the shared executor and
+    // folded back in function order, so the output is the same at every
+    // thread count.
+    let found = tiara_par::global().par_map(prog.funcs(), |_, f| vsa_points(prog, f, cfg));
+    let globals = found.iter().flat_map(|p| p.globals.iter().copied()).collect();
+    let heap_sites: std::collections::BTreeSet<_> =
+        found.iter().flat_map(|p| p.heap.iter().copied()).collect();
     let mut out: Vec<VarAddr> = cluster(globals, cfg.window)
         .into_iter()
         .filter(|&b| b >= 0)
         .map(|b| VarAddr::Global(tiara_ir::MemAddr(b as u64)))
         .collect();
-    for (k, offsets) in per_func.into_iter().enumerate() {
-        let func = prog.funcs()[k].id;
-        for off in cluster(offsets, cfg.window) {
-            out.push(VarAddr::Stack { func, offset: off });
+    for (f, p) in prog.funcs().iter().zip(found) {
+        for off in cluster(p.frame, cfg.window) {
+            out.push(VarAddr::Stack { func: f.id, offset: off });
         }
     }
     for site in heap_sites {
         out.push(VarAddr::Heap { site: tiara_ir::MemAddr(prog.inst(site).addr) });
     }
     out
+}
+
+/// What one function's memory operands resolve to under VSA: global
+/// points, frame offsets in the ground truth's convention, and heap
+/// allocation sites, each in instruction order.
+#[derive(Default)]
+struct VsaPoints {
+    globals: Vec<i64>,
+    frame: Vec<i64>,
+    heap: Vec<tiara_ir::InstId>,
+}
+
+/// Runs VSA on `f` and resolves its memory operands (see
+/// [`discover_variables_vsa`]).
+fn vsa_points(prog: &Program, f: &Function, cfg: &DiscoveryConfig) -> VsaPoints {
+    let mut found = VsaPoints::default();
+    let framed = matches!(detect_frame_mode(prog, f.id), FrameMode::FramePointer);
+    let res = vsa_function(prog, f.id);
+    for id in f.inst_ids() {
+        if !res.reached(id) {
+            continue;
+        }
+        let fact = res.before(id);
+        for opr in prog.inst(id).kind.operands() {
+            let loc = match opr {
+                Operand::Deref(loc) | Operand::Loc(loc) => loc,
+                Operand::Imm(_) => continue,
+            };
+            let addr = fact.eval_addr(loc);
+            let Some(regions) = addr.regions() else { continue };
+            for (region, si) in regions {
+                match region {
+                    Region::Heap(site) => {
+                        found.heap.push(*site);
+                    }
+                    _ if si.count() > ENUM_LIMIT => {}
+                    Region::Global => {
+                        found.globals.extend(si.points().filter(|&p| p >= 0));
+                    }
+                    Region::Frame(func) if *func == f.id => {
+                        for frame_off in si.points() {
+                            if framed {
+                                // `ebp` sits at entry `esp` − 4.
+                                let off = frame_off + 4;
+                                let in_spills = -cfg.spill_region <= off && off < 0;
+                                let in_linkage = (0..8).contains(&off);
+                                if !in_spills && !in_linkage {
+                                    found.frame.push(off);
+                                }
+                            } else if !(0..8).contains(&frame_off) {
+                                found.frame.push(frame_off);
+                            }
+                        }
+                    }
+                    Region::Frame(_) => {}
+                }
+            }
+        }
+    }
+    found
 }
 
 /// Discovery quality against ground truth: how many labeled variables were

@@ -705,6 +705,14 @@ mod tests {
     }
 
     #[test]
+    fn cache_shards_sliced_under_the_evicting_cap_rule_load_as_misses() {
+        // Builds whose full value sets still let a constant evict a
+        // constant keyed the default slicer by its `.tc` encoding and the
+        // cap; their slices differ from this build's.
+        assert_foreign_shards_load_as_misses(|_| slice_cache::EVICTING_CAP_DEFAULT_KEY);
+    }
+
+    #[test]
     fn config_builder_composes() {
         let cfg = TiaraConfig::new()
             .with_slicer(Slicer::Sslice)

@@ -71,14 +71,24 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
 /// slicer's `.tc` encoding, so the key is stable across builds and
 /// toolchains and persisted cache shards stay valid.
 ///
-/// The value-set cap ([`ValueSet::CAP`]) changes slices but is a constant,
-/// not a knob, so the `.tc` encoding does not carry it; it is hashed in
-/// after the encoding. A build with another cap therefore never answers
-/// from shards sliced under the old one.
+/// The value-set cap ([`ValueSet::CAP`]) and the slicer revision change
+/// slices but are constants, not knobs, so the `.tc` encoding does not
+/// carry them; they are hashed in after the encoding. A build with another
+/// cap or revision therefore never answers from shards sliced under the
+/// old one.
 pub fn slicer_fingerprint(slicer: &Slicer) -> u64 {
     let h = fnv1a64(FNV_OFFSET, &crate::container::encode_slicer(slicer));
-    fnv1a64(h, &(ValueSet::CAP as u64).to_le_bytes())
+    let h = fnv1a64(h, &(ValueSet::CAP as u64).to_le_bytes());
+    fnv1a64(h, &SLICER_REVISION.to_le_bytes())
 }
+
+/// The revision of the slicer's semantics that no knob and no constant
+/// captures. Bump it with every change that alters slices, so persisted
+/// cache shards from earlier builds load as misses.
+///
+/// Revision 1: a full value set admits no new constant (before, a constant
+/// evicted the smallest one).
+const SLICER_REVISION: u64 = 1;
 
 fn shard_of(key: &Key) -> usize {
     let mut h = DefaultHasher::new();
@@ -183,6 +193,13 @@ pub(crate) fn restore(entries: impl IntoIterator<Item = SnapshotEntry>) {
 #[cfg(test)]
 pub(crate) const PRE_CAP_DEFAULT_KEY: u64 = 0xbee4_772b_0457_6058;
 
+/// The default slicer's key in builds whose fingerprint covered the `.tc`
+/// slicer encoding and the value-set cap 8, where a constant still evicted
+/// a constant from a full set. Shards persisted under it must load as
+/// misses.
+#[cfg(test)]
+pub(crate) const EVICTING_CAP_DEFAULT_KEY: u64 = 0x164a_d5f2_dbca_8a50;
+
 /// Serializes tests (here and in [`crate::pipeline`]) that clear the cache,
 /// toggle [`set_enabled`], or assert on the global counters. Other core
 /// tests use the cache too, but only ever with it enabled, which every
@@ -239,8 +256,9 @@ mod tests {
         // The key of every persisted cache shard: a change here orphans the
         // shards saved by earlier builds, so it must be deliberate.
         let default = slicer_fingerprint(&Slicer::default());
-        assert_eq!(default, 0x164a_d5f2_dbca_8a50, "default slicer fingerprint moved");
+        assert_eq!(default, 0x788c_b72e_2cb6_3e71, "default slicer fingerprint moved");
         assert_ne!(default, PRE_CAP_DEFAULT_KEY, "the value-set cap is part of the key");
+        assert_ne!(default, EVICTING_CAP_DEFAULT_KEY, "the slicer revision is part of the key");
         let knobs = [
             Slicer::Sslice,
             Slicer::Tslice(TsliceConfig::with_call_summaries()),

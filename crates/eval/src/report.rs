@@ -44,7 +44,9 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     s
 }
 
-/// Renders one Table II row group (per-class P/R/F1 + macro average).
+/// Renders one Table II row group (per-class P/R/F1 + macro average). The
+/// macro average prints to three places, enough to resolve moves well
+/// under the seed-to-seed spread.
 pub fn render_table2_rows(results: &[ExperimentResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(
@@ -76,7 +78,7 @@ pub fn render_table2_rows(results: &[ExperimentResult]) -> String {
         }
         let _ = writeln!(
             s,
-            "{:<5} {:<24} {:<7} {} {:.2}/{:.2}/{:.2}",
+            "{:<5} {:<24} {:<7} {} {:.3}/{:.3}/{:.3}",
             r.id,
             r.training_label,
             r.slicer,
@@ -103,7 +105,7 @@ pub fn render_table2_summary(results: &[ExperimentResult]) -> String {
         let re: f64 = sel.iter().map(|r| r.eval.macro_recall()).sum::<f64>() / n;
         let f1: f64 = sel.iter().map(|r| r.eval.macro_f1()).sum::<f64>() / n;
         let name = if slicer == "TSLICE" { "Average (TIARA)" } else { "Average (TIARA_SSLICE)" };
-        let _ = writeln!(s, "{name:<26} Pr {p:.2}  Re {re:.2}  F1 {f1:.2}");
+        let _ = writeln!(s, "{name:<26} Pr {p:.3}  Re {re:.3}  F1 {f1:.3}");
     }
     s
 }
@@ -165,7 +167,9 @@ mod tests {
         assert!(text.contains("clang"));
         assert!(text.contains("1.00/0.50/0.67"), "list P/R/F1 cell:\n{text}");
         let summary = render_table2_summary(&[r]);
+        assert!(text.contains("0.750/0.750/0.667"), "macro P/R/F1 to three places:\n{text}");
         assert!(summary.contains("Average (TIARA)"));
+        assert!(summary.contains("Pr 0.750  Re 0.750  F1 0.667"), "{summary}");
         assert!(!summary.contains("TIARA_SSLICE"), "no SSLICE rows given");
     }
 

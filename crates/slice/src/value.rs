@@ -83,13 +83,12 @@ enum Repr {
 /// previous `BTreeSet` representation (load-bearing: the slicer's output and
 /// trace are bitwise-deterministic functions of iteration order).
 ///
-/// Sets are capped at [`ValueSet::CAP`] elements; when the cap is hit,
-/// constants are evicted first (they never witness a dependence) and
-/// dependence-carrying values are collapsed into `(other, ∗)`.
-/// Termination of the analysis does not rely on the cap — the faith/decay
-/// mechanism of Algorithm 1 bounds revisits — but the cap decides how long
-/// a loop that counts through constants keeps changing its state (see
-/// [`ValueSet::CAP`]).
+/// Sets are capped at [`ValueSet::CAP`] elements. A full set admits no new
+/// constant; a new dependence evicts the smallest constant, or collapses
+/// into `(other, ∗)` when none is left. Termination of the analysis does
+/// not rely on the cap — the faith/decay mechanism of Algorithm 1 bounds
+/// revisits — but the cap decides how long a loop that counts through
+/// constants keeps changing its state (see [`ValueSet::CAP`]).
 #[derive(Debug, Clone)]
 pub struct ValueSet {
     repr: Repr,
@@ -100,13 +99,19 @@ impl ValueSet {
     ///
     /// The paper sets no cap; this one was chosen by measurement
     /// (EXPERIMENTS.md, "Value-set cap"). A loop that counts through
-    /// constants adds one value per trip until its set is full. After that,
-    /// a loop counting up slides its window by one per trip, walking the
-    /// whole set each time, and a loop counting down settles, because its
-    /// newest constant is the smallest and is the one evicted. 8 is the
-    /// smallest cap swept (48, 16, 8) whose Table II macro-F1 stayed within
-    /// seed spread; against 48 it cut slicing steps by a fifth and the values
-    /// joins walk by three quarters.
+    /// constants adds one value per trip until its set is full. After that
+    /// the set admits no new constant, so the loop's state stops changing
+    /// and it settles, whichever way it counts. That is safe because
+    /// constants never witness a dependence and a set of two or more values
+    /// never yields a stack address ([`ValueSet::singleton_const`]): which
+    /// constants a full set keeps decides only whether the state changed.
+    /// The one reader of every constant is the argument-cell invalidation
+    /// of call summaries (off by default): it invalidates the cells that
+    /// the kept constants name, and a full set keeps its first constants
+    /// where it used to keep its largest.
+    /// 8 is the smallest cap swept (48, 16, 8) whose Table II macro-F1
+    /// stayed within seed spread; against 48 it cut slicing steps by a
+    /// fifth and the values joins walk by three quarters.
     pub const CAP: usize = 8;
 
     /// The empty set as a constant (usable as a `&'static` sentinel for
@@ -142,9 +147,13 @@ impl ValueSet {
             Err(i) => i,
         };
         if self.len() >= Self::CAP {
-            // The cap rule of `union_at_cap` for a single value, where the
-            // victim can only be the set's smallest constant. Running it
-            // through the general join would double the cost of an insert.
+            // The cap rule of `union_at_cap` for a single value: a full set
+            // admits no new constant, and a dependence evicts the smallest
+            // constant or collapses into `(other, ∗)`. Running it through
+            // the general join would double the cost of an insert.
+            if !v.is_dep() {
+                return false;
+            }
             let (deps, consts, other) = blocks(self.as_slice());
             let (first_const, has_const) = (deps.len(), !consts.is_empty());
             if let Repr::Spilled(vec) = &mut self.repr {
@@ -153,7 +162,7 @@ impl ValueSet {
                     vec.insert(idx - usize::from(idx > first_const), v);
                     return true;
                 }
-                if v.is_dep() && !other {
+                if !other {
                     vec.push(AbsValue::Other);
                     return true;
                 }
@@ -219,30 +228,30 @@ impl ValueSet {
     /// one by one. Inserting a value `v` that is absent:
     ///
     /// * below `CAP` values, adds `v`;
-    /// * at `CAP`, evicts the smallest constant and adds `v`;
-    /// * at `CAP` with no constant left, adds `(other, ∗)` instead when `v`
-    ///   is a dependence, and drops `v` otherwise.
+    /// * at `CAP`, drops `v` if it is a constant: a full set admits no new
+    ///   constant;
+    /// * at `CAP`, evicts the smallest constant and adds `v` if it is a
+    ///   dependence, or adds `(other, ∗)` instead when no constant is left.
     ///
-    /// A first pass replays the rule without touching the set (see
-    /// [`CapReplay`]). A constant evicted earlier in the same union is
-    /// absent when it arrives and is re-added like any other, so the set can
-    /// end where it started and still report a change, as the one-by-one
-    /// replay does. The set is then rewritten in place: the evicted
-    /// constants, always the smallest of the set's own, are cut out, and
-    /// the added values are merged in from the back.
+    /// Sorted order brings the dependences first, then the constants, then
+    /// `(other, ∗)`. A first pass replays the rule without touching the set.
+    /// Every value it adds stays, except that an incoming `(other, ∗)` at
+    /// the cap evicts the smallest constant, which may be one added earlier
+    /// in the same union. So the set changes exactly when the replay adds a
+    /// value. The set is then rewritten in place: the evicted constants,
+    /// always the smallest of the set's own, are cut out, and the added
+    /// values are merged in from the back.
     fn union_at_cap(&mut self, b: &[AbsValue]) -> bool {
         let (ad, own, a_other) = blocks(self.as_slice());
         let (bd, bc, b_other) = blocks(b);
-        let mut r = CapReplay {
-            size: self.len(),
-            evicted: 0,
-            added: [AbsValue::Other; Self::CAP + 1],
-            len: 0,
-            deps: 0,
-            head: 0,
-        };
+        // `size` is the set's size as the replay sees it, `own[..evicted]`
+        // are gone, and `added[..len]` holds the added values in arrival
+        // order: sorted dependences, then sorted constants.
+        let mut size = self.len();
+        let mut evicted = 0;
+        let mut added = [AbsValue::Other; Self::CAP + 1];
+        let mut len = 0;
         let mut other = a_other;
-        let mut changed = false;
         let mut i = 0;
         for &v in bd {
             while i < ad.len() && ad[i] < v {
@@ -251,42 +260,67 @@ impl ValueSet {
             if i < ad.len() && ad[i] == v {
                 continue;
             }
-            if r.make_room(own) {
-                r.add(v);
-                changed = true;
-            } else if !other {
-                other = true;
-                r.size += 1;
-                changed = true;
+            if size < Self::CAP {
+                size += 1;
+            } else if evicted < own.len() {
+                evicted += 1;
+            } else {
+                // Full with no constant left: every later value is dropped
+                // or collapses into `(other, ∗)`.
+                if !other {
+                    other = true;
+                    size += 1;
+                }
+                break;
             }
+            added[len] = v;
+            len += 1;
         }
-        // An incoming constant is present only if it is one of the set's
-        // own and has not been evicted yet.
+        // Constants arrive only below the cap, where nothing was evicted.
+        let deps = len;
         let mut j = 0;
         for &v in bc {
+            if size >= Self::CAP {
+                break;
+            }
             while j < own.len() && own[j] < v {
                 j += 1;
             }
-            if j < own.len() && own[j] == v && j >= r.evicted {
+            if j < own.len() && own[j] == v {
                 continue;
             }
-            if r.make_room(own) {
-                r.add(v);
-                changed = true;
-            }
+            size += 1;
+            added[len] = v;
+            len += 1;
         }
+        // An incoming `(other, ∗)` at the cap evicts the smallest constant:
+        // the smaller of the set's next own one and the first one added.
+        // `added[deps..head]` is that added constant once evicted.
+        let mut head = deps;
         if b_other && !other {
-            if !r.make_room(own) {
-                r.size += 1;
-            }
             other = true;
-            changed = true;
+            let own_next = own.get(evicted);
+            if size < Self::CAP {
+                size += 1;
+            } else if len > deps && own_next.is_none_or(|&c| added[deps] < c) {
+                head += 1;
+            } else if own_next.is_some() {
+                evicted += 1;
+            } else {
+                size += 1;
+            }
         }
-        if !changed {
+        if len == 0 && other == a_other {
             return false;
         }
-        let (first_const, evicted, size) = (ad.len(), r.evicted, r.size);
-        let added = r.finish(other && !a_other);
+        added.copy_within(head..len, deps);
+        len -= head - deps;
+        if other && !a_other {
+            added[len] = AbsValue::Other;
+            len += 1;
+        }
+        let added = &added[..len];
+        let first_const = ad.len();
         if let Repr::Inline { len, buf } = &self.repr {
             self.repr = Repr::Spilled(spill(&buf[..*len as usize]));
         }
@@ -376,66 +410,6 @@ impl ValueSet {
     /// The highest indirection level among dependence-carrying values, if any.
     pub fn max_dep_level(&self) -> Option<u8> {
         self.as_slice().iter().filter(|v| v.is_dep()).map(|v| v.indirection_level()).max()
-    }
-}
-
-/// The running state of [`ValueSet::union_at_cap`]: the set's size as the
-/// one-by-one replay would see it, and the values it added.
-///
-/// The victim is always the current smallest constant. Dependences are
-/// never evicted, and incoming values arrive sorted, so the constants
-/// behave as two sorted queues: the set's own constants, evicted from the
-/// front (`own[..evicted]` are gone), and the added ones, which arrive in
-/// ascending order after every added dependence and are pushed at the back
-/// (`added[deps..head]` are gone). The smallest constant is the smaller of
-/// the two fronts.
-struct CapReplay {
-    size: usize,
-    evicted: usize,
-    added: [AbsValue; ValueSet::CAP + 1],
-    len: usize,
-    deps: usize,
-    head: usize,
-}
-
-impl CapReplay {
-    /// Makes room for one more value: grows below the cap, else evicts the
-    /// smallest constant. Returns `false` at the cap with no constant left.
-    fn make_room(&mut self, own: &[AbsValue]) -> bool {
-        if self.size < ValueSet::CAP {
-            self.size += 1;
-        } else if self.evicted < own.len()
-            && (self.head == self.len || own[self.evicted] < self.added[self.head])
-        {
-            self.evicted += 1;
-        } else if self.head < self.len {
-            self.head += 1;
-        } else {
-            return false;
-        }
-        true
-    }
-
-    /// Records an added dependence or constant, in arrival order.
-    fn add(&mut self, v: AbsValue) {
-        self.added[self.len] = v;
-        self.len += 1;
-        if v.is_dep() {
-            self.deps += 1;
-            self.head = self.len;
-        }
-    }
-
-    /// The values still added at the end, sorted: the dependences, the
-    /// constants not evicted again, and `(other, ∗)` when `other` is set.
-    fn finish(&mut self, other: bool) -> &[AbsValue] {
-        self.added.copy_within(self.head..self.len, self.deps);
-        self.len -= self.head - self.deps;
-        if other {
-            self.added[self.len] = AbsValue::Other;
-            self.len += 1;
-        }
-        &self.added[..self.len]
     }
 }
 
@@ -618,6 +592,13 @@ mod tests {
             s.insert(AbsValue::Const(c));
         }
         assert_eq!(s.len(), ValueSet::CAP);
+        // A full set admits no new constant.
+        assert!(!s.insert(AbsValue::Const(-1)));
+        assert!(!s.insert(AbsValue::Const(ValueSet::CAP as i64)));
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            (0..ValueSet::CAP as i64).map(AbsValue::Const).collect::<Vec<_>>()
+        );
         // Inserting a dependence evicts a constant, keeping the dependence.
         assert!(s.insert(AbsValue::Ref(1)));
         assert!(s.contains(AbsValue::Ref(1)));
@@ -695,7 +676,7 @@ mod tests {
         // the original insert routine verbatim.
         use std::collections::BTreeSet;
         fn model_insert(m: &mut BTreeSet<AbsValue>, v: AbsValue) -> bool {
-            if m.contains(&v) {
+            if m.contains(&v) || (m.len() >= ValueSet::CAP && !v.is_dep()) {
                 return false;
             }
             if m.len() >= ValueSet::CAP {
@@ -789,15 +770,15 @@ mod tests {
         let (_, changed) = check(&refs(cap), &[AbsValue::Const(1), AbsValue::Other], true);
         assert!(changed, "an incoming Other at the cap is added");
 
-        // Evicted and re-inserted within one union: `Const(3)` evicts
-        // `Const(5)`, then `Const(5)` arrives absent and evicts `Const(3)`.
-        // The set ends where it started, and the replay reports a change.
+        // A full set admits no new constant: an absent one is dropped and
+        // a present one is no change, so the union changes nothing.
         let mut a = refs(cap - 1);
         a.push(AbsValue::Const(5));
         let (s, changed) = check(&a, &[AbsValue::Const(3), AbsValue::Const(5)], false);
-        assert!(changed);
+        assert!(!changed);
         assert_eq!(s.iter().collect::<Vec<_>>(), a);
-        // Both constant queues feed the victim choice.
+        // A dependence still evicts the smallest constant, and the
+        // constants after it are dropped.
         let mut a = refs(cap - 3);
         a.extend([AbsValue::Const(2), AbsValue::Const(6), AbsValue::Const(9)]);
         let b: Vec<AbsValue> = [1, 3, 4, 6, 7, 8, 10]
@@ -805,7 +786,16 @@ mod tests {
             .map(AbsValue::Const)
             .chain([AbsValue::Ptr(0)])
             .collect();
-        check(&a, &b, true);
+        let (s, _) = check(&a, &b, true);
+        assert!(!s.contains(AbsValue::Const(2)) && s.contains(AbsValue::Ptr(0)));
+        // An incoming `(other, ∗)` that meets the cap evicts the smallest
+        // constant, either one the union added or one of the set's own.
+        let mut a = refs(cap - 3);
+        a.extend([AbsValue::Const(2), AbsValue::Const(9)]);
+        let (s, _) = check(&a, &[AbsValue::Const(1), AbsValue::Const(3), AbsValue::Other], false);
+        assert!(!s.contains(AbsValue::Const(1)) && s.contains(AbsValue::Const(2)));
+        let (s, _) = check(&a, &[AbsValue::Const(4), AbsValue::Other], true);
+        assert!(!s.contains(AbsValue::Const(2)) && s.contains(AbsValue::Const(4)));
 
         // Inline → spill: once below the cap, once through the cap path.
         check(
@@ -845,6 +835,36 @@ mod tests {
             let b = draw(rng);
             let clone = rng.random_bool(0.5);
             check(&a, &b, clone);
+        });
+    }
+
+    #[test]
+    fn insert_and_union_report_a_change_exactly_when_the_set_changes() {
+        // Under the cap rule no value a union adds is later evicted, except
+        // by an incoming `(other, ∗)` that is itself added, so a join that
+        // ends where it began reports no change and costs no revisit.
+        rand::check::cases(2000, |rng| {
+            use rand::Rng;
+            let draw = |rng: &mut rand::rngs::StdRng| -> Vec<AbsValue> {
+                let n = rng.random_range(0..=24usize);
+                (0..n)
+                    .map(|_| match rng.random_range(0..10u32) {
+                        0 => AbsValue::Ptr(rng.random_range(-2..3i64)),
+                        1 | 2 => AbsValue::Ref(rng.random_range(0..12i64)),
+                        9 if rng.random_bool(0.3) => AbsValue::Other,
+                        _ => AbsValue::Const(rng.random_range(0..16i64)),
+                    })
+                    .collect()
+            };
+            let mut s: ValueSet = draw(rng).into_iter().collect();
+            let b = draw(rng);
+            let before = s.as_slice().to_vec();
+            let changed = if rng.random_bool(0.5) {
+                s.union_with(&b.iter().copied().collect())
+            } else {
+                b.iter().fold(false, |c, &v| s.insert(v) | c)
+            };
+            assert_eq!(changed, s.as_slice() != before, "a = {before:?}, b = {b:?}");
         });
     }
 

@@ -82,30 +82,30 @@ fn check(seed: u64, name: &str, cfg: &TsliceConfig, want: (usize, u64, SliceStat
 }
 
 // Captured before the linear-time join and the shared per-program facts
-// landed, and re-captured when `ValueSet::CAP` went from 48 to 8: a smaller
-// cap lets counting loops settle sooner, which changes steps, faiths and a
-// few slices.
+// landed, re-captured when `ValueSet::CAP` went from 48 to 8, and again when
+// a full set stopped admitting constants: each lets counting loops settle
+// sooner, which changes steps, faiths and a few slices.
 
 #[test]
 fn golden_slices_and_counters_seed_1() {
-    let default = stats(104_537, 4_950, 70, 99_589_632, 14_203, 0, 0);
-    check(1, "default", &TsliceConfig::default(), (170, 1_001_591_405_567_429_503, default));
+    let default = stats(39_383, 201, 70, 37_328_208, 6_824, 0, 0);
+    check(1, "default", &TsliceConfig::default(), (170, 1_816_508_477_876_817_549, default));
     check(
         1,
         "summaries",
         &TsliceConfig::with_call_summaries(),
-        (170, 8_913_339_929_291_094_034, stats(138_203, 7_057, 11, 136_413_536, 18_338, 0, 1_584)),
+        (170, 4_249_549_845_402_114_782, stats(61_505, 701, 11, 60_063_648, 10_408, 0, 913)),
     );
 }
 
 #[test]
 fn golden_slices_and_counters_seed_2() {
-    let default = stats(99_771, 4_758, 63, 98_122_128, 15_624, 0, 0);
-    check(2, "default", &TsliceConfig::default(), (170, 8_963_138_482_666_480_737, default));
+    let default = stats(36_998, 101, 63, 35_101_040, 7_943, 0, 0);
+    check(2, "default", &TsliceConfig::default(), (170, 16_883_949_503_713_359_797, default));
     check(
         2,
         "summaries",
         &TsliceConfig::with_call_summaries(),
-        (170, 7_036_724_618_918_967_625, stats(126_176, 5_775, 11, 125_309_376, 18_378, 0, 825)),
+        (170, 2_661_270_544_158_900_964, stats(56_429, 568, 10, 54_189_616, 10_079, 0, 729)),
     );
 }
