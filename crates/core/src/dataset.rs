@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use tiara_gnn::GraphSample;
 use tiara_ir::{ContainerClass, DebugInfo, Program, VarAddr, VarRecord};
 use tiara_par::Executor;
-use tiara_slice::{sslice, tslice_with_facts, ProgramFacts, Slice, TsliceConfig};
+use tiara_slice::{sslice_with_facts, tslice_with_facts, ProgramFacts, Slice, TsliceConfig};
 
 /// Which slicing algorithm feeds the classifier: TSLICE (TIARA proper) or
 /// SSLICE (the `TIARA_SSLICE` baseline of RQ3).
@@ -46,7 +46,7 @@ impl Slicer {
     pub fn run_with_facts(&self, facts: &ProgramFacts<'_>, addr: VarAddr) -> Slice {
         match self {
             Slicer::Tslice(cfg) => tslice_with_facts(facts, addr, cfg).slice,
-            Slicer::Sslice => sslice(facts.program(), addr),
+            Slicer::Sslice => sslice_with_facts(facts, addr),
         }
     }
 

@@ -31,9 +31,9 @@ pub fn operand_types(kind: &InstKind) -> (OperandType, OperandType) {
         },
         InstKind::Ret => (OperandType::Nil, OperandType::Nil),
         _ => {
-            let oprs = kind.operands();
-            let t1 = oprs.first().map_or(OperandType::Nil, |o| o.operand_type());
-            let t2 = oprs.get(1).map_or(OperandType::Nil, |o| o.operand_type());
+            let mut oprs = kind.operands();
+            let t1 = oprs.next().map_or(OperandType::Nil, |o| o.operand_type());
+            let t2 = oprs.next().map_or(OperandType::Nil, |o| o.operand_type());
             (t1, t2)
         }
     }

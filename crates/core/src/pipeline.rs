@@ -282,7 +282,7 @@ impl Tiara {
                         stats = out.stats;
                         out.slice
                     }
-                    Slicer::Sslice => tiara_slice::sslice(prog, addr),
+                    Slicer::Sslice => tiara_slice::sslice_with_facts(&facts, addr),
                 });
             stats.set_spills = tiara_slice::thread_spills() - spills_before;
             let graph = slice_to_graph(prog, &slice, 0);

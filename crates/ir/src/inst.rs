@@ -177,24 +177,27 @@ pub enum InstKind {
 
 impl InstKind {
     /// The operands of the instruction, in (dst, src) order where applicable.
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            InstKind::Mov { dst, src } | InstKind::Op { dst, src, .. } => vec![*dst, *src],
-            InstKind::Use { oprs } => oprs.clone(),
-            InstKind::Push { src } => vec![*src],
-            InstKind::Pop { dst } => vec![*dst],
-            InstKind::Call { target } => match target {
-                CallTarget::Indirect(opr) => vec![*opr],
-                CallTarget::Direct(_) | CallTarget::External(_) => Vec::new(),
-            },
-            InstKind::Ret => Vec::new(),
-        }
+    /// Borrows the instruction: nothing is allocated, so the hot loops that
+    /// ask every instruction they visit (the slicer's decay, discovery, the
+    /// lints) pay no heap traffic for it.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (first, second, rest): (Option<Operand>, Option<Operand>, &[Operand]) = match self {
+            InstKind::Mov { dst, src } | InstKind::Op { dst, src, .. } => {
+                (Some(*dst), Some(*src), &[])
+            }
+            InstKind::Use { oprs } => (None, None, oprs),
+            InstKind::Push { src: opr }
+            | InstKind::Pop { dst: opr }
+            | InstKind::Call { target: CallTarget::Indirect(opr) } => (Some(*opr), None, &[]),
+            InstKind::Call { .. } | InstKind::Ret => (None, None, &[]),
+        };
+        first.into_iter().chain(second).chain(rest.iter().copied())
     }
 
     /// Returns `true` if any operand is an indirect memory access (`[loc]`);
     /// such instructions decay faith faster (Algorithm 1, line 5).
     pub fn uses_indirect_addressing(&self) -> bool {
-        self.operands().iter().any(|o| o.is_indirect())
+        self.operands().any(|o| o.is_indirect())
     }
 
     /// Returns `true` for `push`/`pop` (including the implicit push/pop of
@@ -270,8 +273,18 @@ mod tests {
             dst: Operand::reg(Reg::Ebx),
             src: Operand::reg(Reg::Ecx),
         };
-        assert_eq!(k.operands().len(), 2);
-        let call = InstKind::Call { target: CallTarget::Indirect(Operand::mem_abs(0x73034u64, 0)) };
-        assert_eq!(call.operands().len(), 1);
+        assert_eq!(
+            k.operands().collect::<Vec<_>>(),
+            [Operand::reg(Reg::Ebx), Operand::reg(Reg::Ecx)]
+        );
+        let target = Operand::mem_abs(0x73034u64, 0);
+        let call = InstKind::Call { target: CallTarget::Indirect(target) };
+        assert_eq!(call.operands().collect::<Vec<_>>(), [target]);
+        let oprs = vec![Operand::reg(Reg::Eax), Operand::imm(1), Operand::reg(Reg::Edx)];
+        let use_ = InstKind::Use { oprs: oprs.clone() };
+        assert_eq!(use_.operands().collect::<Vec<_>>(), oprs);
+        assert_eq!(InstKind::Pop { dst: Operand::reg(Reg::Esi) }.operands().count(), 1);
+        assert_eq!(InstKind::Ret.operands().count(), 0);
+        assert_eq!(InstKind::Call { target: CallTarget::Direct(FuncId(0)) }.operands().count(), 0);
     }
 }

@@ -60,7 +60,7 @@ pub use config::{DecayFunction, TsliceConfig};
 pub use criterion::Criterion;
 pub use defuse_oracle::{check_kill_rules, KillCheck, KillViolation};
 pub use slice::{build_slice_graph, build_slice_graph_with_links, Slice, SliceNode};
-pub use sslice::{first_access, sslice};
+pub use sslice::{first_access, sslice, sslice_with_facts};
 pub use state::{AnalysisState, InstState};
 pub use stats::{add_to_global, global_stats, reset_global_stats, thread_spills, SliceStats};
 pub use trace::{RuleName, TraceEvent};

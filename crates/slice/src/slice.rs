@@ -1,7 +1,9 @@
 //! The output of a slicer: a set of instructions expressed as a CFG
 //! (the graph fed to the GCN classifier, Figure 2(b)).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::hash::{FxHashMap, FxHashSet};
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasher;
 use tiara_ir::{InstId, Program, VarAddr};
 
 /// One node of a slice: an instruction found dependent on the criterion.
@@ -98,11 +100,11 @@ impl Slice {
 ///
 /// `explored` restricts paths to the region the analysis visited; pass a set
 /// covering the whole program to contract over the full CFG (as SSLICE does).
-pub fn build_slice_graph(
+pub fn build_slice_graph<S: BuildHasher>(
     prog: &Program,
     criterion: VarAddr,
     nodes: Vec<SliceNode>,
-    explored: &HashSet<u32>,
+    explored: &HashSet<u32, S>,
     steps: usize,
 ) -> Slice {
     build_slice_graph_with_links(prog, criterion, nodes, explored, steps, &[])
@@ -114,25 +116,27 @@ pub fn build_slice_graph(
 /// TSLICE passes the summary edges it traversed (call site → return site),
 /// so a slice that stepped over an opaque callee with a mod-ref summary
 /// stays connected even though the callee's `ret` was never explored.
-pub fn build_slice_graph_with_links(
+pub fn build_slice_graph_with_links<S: BuildHasher>(
     prog: &Program,
     criterion: VarAddr,
     mut nodes: Vec<SliceNode>,
-    explored: &HashSet<u32>,
+    explored: &HashSet<u32, S>,
     steps: usize,
     links: &[(u32, u32)],
 ) -> Slice {
     nodes.sort_by_key(|n| n.inst);
     nodes.dedup_by_key(|n| n.inst);
-    let index: HashMap<u32, u32> =
+    // Edges are sorted and deduplicated below, so the maps' iteration order
+    // cannot reach the output.
+    let index: FxHashMap<u32, u32> =
         nodes.iter().enumerate().map(|(k, n)| (n.inst.0, k as u32)).collect();
-    let mut extra: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut extra: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     for &(u, w) in links {
         extra.entry(u).or_default().push(w);
     }
 
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::new();
+    let mut seen: FxHashSet<u32> = FxHashSet::default();
     let mut queue: VecDeque<InstId> = VecDeque::new();
     for (k, n) in nodes.iter().enumerate() {
         seen.clear();

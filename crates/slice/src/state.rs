@@ -12,10 +12,15 @@
 //! deep snapshot the `HashMap`-only layout forced is gone. Every record
 //! carries a version counter, bumped exactly when `(V, S, D)` changes, so
 //! the traversal can prove a revisit is a no-op without comparing states.
+//!
+//! [`AnalysisState::clear`] empties the state for the next criterion but
+//! keeps every table's capacity and the arena's records: a record is reset
+//! in place when a later criterion reaches a new instruction, so its stack
+//! map (a flat sorted `Vec`) keeps its buffer too.
 
 use crate::hash::FxHashMap;
 use crate::value::ValueSet;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use tiara_ir::{InstId, Reg};
 
 /// The empty set, as a borrowable sentinel for missing stack slots.
@@ -23,12 +28,14 @@ static EMPTY_SET: ValueSet = ValueSet::EMPTY;
 
 /// Per-instruction analysis state: the `V(i)`, `S(i)`, `D(i)` and `F(i)`
 /// entries for one instruction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct InstState {
     /// Register values (`V(i)`), indexed by [`Reg::index`].
     pub regs: [ValueSet; 8],
-    /// Abstract stack (`S(i)`), keyed by absolute abstract slot index.
-    pub stack: BTreeMap<i64, ValueSet>,
+    /// Abstract stack (`S(i)`): `(absolute abstract slot, values)` pairs,
+    /// sorted by slot with no slot twice. A flat vector rather than a tree
+    /// so that a record reset for reuse keeps its buffer.
+    stack: Vec<(i64, ValueSet)>,
     /// Dependence flag (`D(i)`).
     pub dep: bool,
     /// The maximum pointer-indirection level with which `v0` was used at this
@@ -36,7 +43,37 @@ pub struct InstState {
     pub indirection: u8,
 }
 
+impl Clone for InstState {
+    fn clone(&self) -> InstState {
+        InstState {
+            regs: self.regs.clone(),
+            stack: self.stack.clone(),
+            dep: self.dep,
+            indirection: self.indirection,
+        }
+    }
+
+    /// Copies `src` into `self`, reusing the stack map's buffer.
+    fn clone_from(&mut self, src: &InstState) {
+        self.regs.clone_from(&src.regs);
+        self.stack.clone_from(&src.stack);
+        self.dep = src.dep;
+        self.indirection = src.indirection;
+    }
+}
+
 impl InstState {
+    /// Returns the record to its freshly created state, keeping the stack
+    /// map's buffer. Spilled register sets are dropped, not kept: a reused
+    /// record must spill exactly where a fresh one would, or the spill
+    /// counters would depend on which criterion ran before.
+    pub(crate) fn reset(&mut self) {
+        self.regs = [ValueSet::EMPTY; 8];
+        self.stack.clear();
+        self.dep = false;
+        self.indirection = 0;
+    }
+
     /// Reads a register set.
     #[inline]
     pub fn reg(&self, r: Reg) -> &ValueSet {
@@ -53,16 +90,34 @@ impl InstState {
         self.regs[r.index()].assign(vs)
     }
 
+    /// Where slot `z` is in the stack map, or where it would go.
+    #[inline]
+    fn find(&self, z: i64) -> Result<usize, usize> {
+        self.stack.binary_search_by_key(&z, |&(k, _)| k)
+    }
+
+    /// The index of slot `z`, which lies at or past index `from`, inserting
+    /// it empty if missing.
+    fn entry_from(&mut self, from: usize, z: i64) -> usize {
+        match self.stack[from..].binary_search_by_key(&z, |&(k, _)| k) {
+            Ok(k) => from + k,
+            Err(k) => {
+                self.stack.insert(from + k, (z, ValueSet::EMPTY));
+                from + k
+            }
+        }
+    }
+
     /// Reads a stack slot, if it has ever been written.
     #[inline]
     pub fn stack_slot(&self, z: i64) -> Option<&ValueSet> {
-        self.stack.get(&z)
+        self.find(z).ok().map(|k| &self.stack[k].1)
     }
 
     /// Reads a stack slot; missing slots are the (borrowed) empty set.
     #[inline]
     pub fn stack_slot_or_empty(&self, z: i64) -> &ValueSet {
-        self.stack.get(&z).unwrap_or(&EMPTY_SET)
+        self.stack_slot(z).unwrap_or(&EMPTY_SET)
     }
 
     /// Weakly updates a stack slot. Returns `true` on change.
@@ -70,19 +125,20 @@ impl InstState {
         if vs.is_empty() {
             return false;
         }
-        self.stack.entry(z).or_default().union_with(vs)
+        let k = self.entry_from(0, z);
+        self.stack[k].1.union_with(vs)
     }
 
     /// Strongly updates a stack slot (a `push` definitely overwrites its
     /// slot). Returns `true` on change.
     pub fn stack_assign(&mut self, z: i64, vs: ValueSet) -> bool {
-        match self.stack.get_mut(&z) {
-            Some(old) => old.assign(vs),
-            None => {
+        match self.find(z) {
+            Ok(k) => self.stack[k].1.assign(vs),
+            Err(k) => {
                 if vs.is_empty() {
                     return false;
                 }
-                self.stack.insert(z, vs);
+                self.stack.insert(k, (z, vs));
                 true
             }
         }
@@ -96,8 +152,16 @@ impl InstState {
         for idx in 0..8 {
             changed |= self.regs[idx].union_with(&pre.regs[idx]);
         }
-        for (&z, vs) in &pre.stack {
-            changed |= self.stack_union(z, vs);
+        // Both maps are sorted, so each slot of `pre` is searched for only
+        // past the previous one.
+        let mut from = 0;
+        for (z, vs) in &pre.stack {
+            if vs.is_empty() {
+                continue;
+            }
+            let k = self.entry_from(from, *z);
+            changed |= self.stack[k].1.union_with(vs);
+            from = k + 1;
         }
         changed
     }
@@ -121,7 +185,7 @@ impl InstState {
         for r in &self.regs {
             bytes += r.heap_bytes();
         }
-        for vs in self.stack.values() {
+        for (_, vs) in &self.stack {
             bytes += std::mem::size_of::<(i64, ValueSet)>() + vs.heap_bytes();
         }
         bytes
@@ -134,11 +198,15 @@ impl InstState {
 pub struct AnalysisState {
     /// `InstId` → arena slot.
     slots: FxHashMap<u32, usize>,
-    /// Stable state records; never shrinks during a run, so shared and
-    /// mutable borrows of *different* slots can coexist (`pair_mut`).
+    /// State records; `arena[..live]` belong to the current run, the rest
+    /// are spares from an earlier one, reset when reused. Never shrinks
+    /// during a run, so shared and mutable borrows of *different* slots can
+    /// coexist (`pair_mut`).
     arena: Vec<InstState>,
-    /// Version counter per arena slot, bumped exactly when the record's
-    /// `(V, S, D)` changes.
+    /// Records in use by the current run.
+    live: usize,
+    /// Version counter per live arena slot, bumped exactly when the
+    /// record's `(V, S, D)` changes.
     versions: Vec<u32>,
     faith: FxHashMap<u32, f64>,
 }
@@ -149,16 +217,31 @@ impl AnalysisState {
         AnalysisState::default()
     }
 
+    /// Empties the state for a new run, keeping every table's capacity and
+    /// the arena's records for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.live = 0;
+        self.versions.clear();
+        self.faith.clear();
+    }
+
     /// The arena slot of `id`, allocating a fresh record (version 0) on
     /// first use.
     fn slot(&mut self, id: InstId) -> usize {
-        let arena = &mut self.arena;
-        let versions = &mut self.versions;
-        *self.slots.entry(id.0).or_insert_with(|| {
-            arena.push(InstState::default());
-            versions.push(0);
-            arena.len() - 1
-        })
+        match self.slots.entry(id.0) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let s = self.live;
+                match self.arena.get_mut(s) {
+                    Some(spare) => spare.reset(),
+                    None => self.arena.push(InstState::default()),
+                }
+                self.live += 1;
+                self.versions.push(0);
+                *e.insert(s)
+            }
+        }
     }
 
     /// The state of an instruction, if it was reached.
@@ -350,6 +433,203 @@ mod tests {
     fn pair_mut_rejects_self_loops() {
         let mut st = AnalysisState::new();
         let _ = st.pair_mut(InstId(5), InstId(5));
+    }
+
+    /// The stack map as it was before it became a flat vector: a
+    /// `BTreeMap` under the same update rules, with the registers alongside
+    /// so `merge_from` can be modelled whole.
+    #[derive(Default)]
+    struct Model {
+        regs: [ValueSet; 8],
+        stack: std::collections::BTreeMap<i64, ValueSet>,
+    }
+
+    impl Model {
+        fn union(&mut self, z: i64, vs: &ValueSet) -> bool {
+            !vs.is_empty() && self.stack.entry(z).or_default().union_with(vs)
+        }
+
+        fn assign(&mut self, z: i64, vs: ValueSet) -> bool {
+            match self.stack.get_mut(&z) {
+                Some(old) => old.assign(vs),
+                None if vs.is_empty() => false,
+                None => self.stack.insert(z, vs).is_none(),
+            }
+        }
+
+        fn merge_from(&mut self, pre: &Model) -> bool {
+            let mut changed = false;
+            for (mine, theirs) in self.regs.iter_mut().zip(&pre.regs) {
+                changed |= mine.union_with(theirs);
+            }
+            for (&z, vs) in &pre.stack {
+                changed |= self.union(z, vs);
+            }
+            changed
+        }
+
+        fn snapshot_bytes(&self) -> usize {
+            let regs: usize = self.regs.iter().map(ValueSet::heap_bytes).sum();
+            let stack: usize = self
+                .stack
+                .values()
+                .map(|vs| std::mem::size_of::<(i64, ValueSet)>() + vs.heap_bytes())
+                .sum();
+            std::mem::size_of::<InstState>() + regs + stack
+        }
+    }
+
+    /// A random value set over a small domain, so sets overlap, spill and
+    /// reach the cap.
+    fn draw_set(rng: &mut rand::rngs::StdRng) -> ValueSet {
+        use rand::Rng;
+        let n = rng.random_range(0..=10usize);
+        (0..n)
+            .map(|_| match rng.random_range(0..6u32) {
+                0 => AbsValue::Ptr(rng.random_range(-2..3i64)),
+                1 | 2 => AbsValue::Ref(rng.random_range(0..8i64)),
+                3 if rng.random_bool(0.2) => AbsValue::Other,
+                _ => AbsValue::Const(rng.random_range(0..12i64)),
+            })
+            .collect()
+    }
+
+    /// One random update, applied to `st` and returning whether it changed
+    /// the record. `other` is the pre-state a merge joins from.
+    #[derive(Clone)]
+    enum Op {
+        Union(i64, ValueSet),
+        Assign(i64, ValueSet),
+        RegUnion(Reg, ValueSet),
+        Merge,
+    }
+
+    fn draw_op(rng: &mut rand::rngs::StdRng) -> Op {
+        use rand::Rng;
+        let z = 4 * rng.random_range(-6..6i64);
+        match rng.random_range(0..7u32) {
+            0..=2 => Op::Union(z, draw_set(rng)),
+            3 | 4 => {
+                Op::Assign(z, if rng.random_bool(0.2) { ValueSet::new() } else { draw_set(rng) })
+            }
+            5 => Op::RegUnion(Reg::from_index(rng.random_range(0..8usize)), draw_set(rng)),
+            _ => Op::Merge,
+        }
+    }
+
+    fn apply(st: &mut InstState, op: &Op, other: &InstState) -> bool {
+        match op {
+            Op::Union(z, vs) => st.stack_union(*z, vs),
+            Op::Assign(z, vs) => st.stack_assign(*z, vs.clone()),
+            Op::RegUnion(r, vs) => st.reg_union(*r, vs),
+            Op::Merge => st.merge_from(other),
+        }
+    }
+
+    fn apply_model(m: &mut Model, op: &Op, other: &Model) -> bool {
+        match op {
+            Op::Union(z, vs) => m.union(*z, vs),
+            Op::Assign(z, vs) => m.assign(*z, vs.clone()),
+            Op::RegUnion(r, vs) => m.regs[r.index()].union_with(vs),
+            Op::Merge => m.merge_from(other),
+        }
+    }
+
+    /// Equal contents, including each spilled set's capacity (the snapshot
+    /// pricing reads it).
+    fn assert_matches(st: &InstState, m: &Model) {
+        let tree: Vec<(i64, ValueSet)> = m.stack.iter().map(|(&z, vs)| (z, vs.clone())).collect();
+        assert_eq!(st.stack, tree);
+        for ((_, a), b) in st.stack.iter().zip(m.stack.values()) {
+            assert_eq!(a.heap_bytes(), b.heap_bytes());
+        }
+        assert_eq!(st.regs, m.regs);
+        assert_eq!(st.approx_snapshot_bytes(), m.snapshot_bytes());
+        for z in -28..28 {
+            assert_eq!(st.stack_slot(z), m.stack.get(&z), "slot {z}");
+        }
+    }
+
+    #[test]
+    fn flat_stack_map_matches_a_btreemap_model() {
+        rand::check::cases(500, |rng| {
+            use rand::Rng;
+            // The pre-state merges join from, built by the same operations.
+            let (mut other, mut other_model) = (InstState::default(), Model::default());
+            for _ in 0..rng.random_range(0..12usize) {
+                let op = draw_op(rng);
+                if !matches!(op, Op::Merge) {
+                    apply(&mut other, &op, &InstState::default());
+                    apply_model(&mut other_model, &op, &Model::default());
+                }
+            }
+            assert_matches(&other, &other_model);
+            let (mut st, mut model) = (InstState::default(), Model::default());
+            for _ in 0..40 {
+                let op = draw_op(rng);
+                let spills = crate::stats::thread_spills();
+                let changed = apply(&mut st, &op, &other);
+                let spilled = crate::stats::thread_spills() - spills;
+                let spills = crate::stats::thread_spills();
+                assert_eq!(changed, apply_model(&mut model, &op, &other_model));
+                assert_eq!(spilled, crate::stats::thread_spills() - spills, "spill count");
+                assert_matches(&st, &model);
+            }
+        });
+    }
+
+    #[test]
+    fn a_reset_record_behaves_like_a_fresh_one() {
+        rand::check::cases(300, |rng| {
+            use rand::Rng;
+            let mut other = InstState::default();
+            for _ in 0..8 {
+                let op = draw_op(rng);
+                apply(&mut other, &op, &InstState::default());
+            }
+            let mut reused = InstState::default();
+            for _ in 0..rng.random_range(0..30usize) {
+                let op = draw_op(rng);
+                apply(&mut reused, &op, &other);
+            }
+            reused.mark_dep(2);
+            reused.reset();
+            let mut fresh = InstState::default();
+            assert!(!reused.dep && reused.indirection == 0);
+            for _ in 0..30 {
+                let op = draw_op(rng);
+                let spills = crate::stats::thread_spills();
+                let a = apply(&mut reused, &op, &other);
+                let reused_spills = crate::stats::thread_spills() - spills;
+                let spills = crate::stats::thread_spills();
+                let b = apply(&mut fresh, &op, &other);
+                assert_eq!(a, b);
+                assert_eq!(reused_spills, crate::stats::thread_spills() - spills, "spill count");
+                assert_eq!(reused.stack, fresh.stack);
+                assert_eq!(reused.regs, fresh.regs);
+                assert_eq!(reused.approx_snapshot_bytes(), fresh.approx_snapshot_bytes());
+            }
+        });
+    }
+
+    #[test]
+    fn a_cleared_state_hands_out_fresh_records() {
+        let mut st = AnalysisState::new();
+        let (a, b) = (InstId(3), InstId(9));
+        st.get_mut(a).stack_assign(4, ValueSet::singleton(AbsValue::Ref(0)));
+        st.get_mut(a).mark_dep(1);
+        st.bump(a);
+        st.zero_faith(a);
+        st.clear();
+        assert!(st.get(a).is_none(), "nothing is reached after a clear");
+        assert_eq!(st.version(a), 0);
+        assert_eq!(st.faith(a), 1.0);
+        // `b` takes over `a`'s old arena record, reset.
+        let rec = st.get_mut(b);
+        assert!(!rec.dep && rec.indirection == 0 && rec.stack.is_empty());
+        assert!(rec.regs.iter().all(ValueSet::is_empty));
+        assert_eq!(st.version(b), 0);
+        assert_eq!(st.iter().count(), 1);
     }
 
     #[test]

@@ -32,6 +32,17 @@
 //! bitwise-identical slices and traces; `tests/equivalence.rs` checks that.
 //! [`SliceStats`] counts what the fast path saved.
 //!
+//! ## Buffers reused across criteria
+//!
+//! A slice's tables (the analysis state, the worklist, the edge memo, the
+//! pending set) grow to the size of the region it explores. The shipping
+//! traversal keeps them in a per-thread scratch ([`Scratch`]) and clears
+//! them between criteria, so a thread that slices many criteria grows them
+//! once: in steady state a slice allocates a small constant, most of it
+//! the value sets that outgrow their inline buffer. The scratch is a
+//! thread-local rather than a caller-owned value because the parallel map
+//! that drives batches has no per-worker state; it changes no signature.
+//!
 //! ## Summary edges
 //!
 //! With [`TsliceConfig::use_call_summaries`] on, every direct call pushes a
@@ -51,12 +62,13 @@ use crate::criterion::Criterion;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::rules::transfer;
 use crate::slice::{build_slice_graph, Slice, SliceNode};
+use crate::sslice::AccessIndex;
 use crate::state::{AnalysisState, InstState};
 use crate::stats::SliceStats;
 use crate::trace::{RuleName, TraceEvent};
 use crate::value::{AbsValue, ValueSet};
 use crate::TsliceConfig;
-use std::collections::HashSet;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::OnceLock;
 use tiara_dataflow::{escape::TRACKED_ARGS, FuncSummary, ProgramSummaries};
@@ -108,31 +120,42 @@ pub fn tslice(prog: &Program, v0: VarAddr) -> Slice {
     tslice_with(prog, v0, &TsliceConfig::default()).slice
 }
 
-/// The per-program facts TSLICE consults: the callee mod-ref summaries
+/// The per-program facts the slicers consult: the index of first accesses
+/// that locates `I0`, and the callee mod-ref summaries
 /// ([`tiara_dataflow::summarize_program`]) behind
 /// [`TsliceConfig::use_call_summaries`].
 ///
-/// The summaries are a deterministic function of the program alone, so the
-/// traversal stays a pure function of (program, criterion, config) however
-/// they are shared. They are computed on first use: callers that slice many
-/// criteria of one program build one `ProgramFacts` and pay for them at most
-/// once, and a run that does not need them (the default configuration) pays
-/// nothing. The cell is thread-safe, so one value serves a parallel batch.
+/// Both are deterministic functions of the program alone, so the traversal
+/// stays a pure function of (program, criterion, config) however they are
+/// shared. Each is computed on first use: callers that slice many criteria
+/// of one program build one `ProgramFacts` and pay for each at most once,
+/// and a run that does not need the summaries (the default configuration)
+/// pays nothing for them. The cells are thread-safe, so one value serves a
+/// parallel batch.
 #[derive(Debug)]
 pub struct ProgramFacts<'p> {
     prog: &'p Program,
+    accesses: OnceLock<AccessIndex>,
     summaries: OnceLock<ProgramSummaries>,
 }
 
 impl<'p> ProgramFacts<'p> {
     /// Facts for `prog`, none computed yet.
     pub fn new(prog: &'p Program) -> ProgramFacts<'p> {
-        ProgramFacts { prog, summaries: OnceLock::new() }
+        ProgramFacts { prog, accesses: OnceLock::new(), summaries: OnceLock::new() }
     }
 
     /// The program the facts describe.
     pub fn program(&self) -> &'p Program {
         self.prog
+    }
+
+    /// The first instruction, in program order, that accesses `v0`: the
+    /// slicers' `I0`. The index behind it is built on first call, in one
+    /// pass over the program; every later criterion is a range query. For a
+    /// heap criterion it is the allocating call at the named site.
+    pub fn first_access(&self, v0: VarAddr) -> Option<InstId> {
+        self.accesses.get_or_init(|| AccessIndex::build(self.prog)).first_access(v0)
     }
 
     /// The callee mod-ref summaries, computed on first call.
@@ -152,46 +175,88 @@ pub fn tslice_with(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> TsliceOut
 
 /// The output for a criterion no instruction accesses: an empty slice.
 fn unreached(prog: &Program, v0: VarAddr) -> TsliceOutput {
-    let slice = build_slice_graph(prog, v0, Vec::new(), &HashSet::new(), 0);
+    let slice = build_slice_graph(prog, v0, Vec::new(), &FxHashSet::default(), 0);
     TsliceOutput { slice, trace: Vec::new(), stats: SliceStats::default() }
+}
+
+/// The buffers both traversals walk in. [`Walk::start`] clears them, so
+/// they can carry capacity from one criterion to the next.
+#[derive(Default)]
+struct Buffers {
+    st: AnalysisState,
+    stack: Vec<Work>,
+    fired: Vec<RuleName>,
+    /// The explored region, collected by [`Walk::finish`].
+    explored: FxHashSet<u32>,
+}
+
+/// Everything the shipping traversal reuses across criteria on one thread:
+/// the shared [`Buffers`] plus the fast path's own tables.
+#[derive(Default)]
+struct Scratch {
+    walk: Buffers,
+    /// `(pre, i)` → the endpoint versions when the edge last ran.
+    memo: FxHashMap<(u32, u32), (u32, u32)>,
+    /// Queued edges, keyed `(pre, i, pre_ver)`.
+    pending: FxHashSet<(u32, u32, u32)>,
+    /// Snapshot sizes cached per (record, version): states stabilize
+    /// quickly, so most pops reuse the cached size instead of walking the
+    /// stack map.
+    size_cache: FxHashMap<u32, (u32, u64)>,
+    /// The pre-state copy that self-loop and summary edges need.
+    pre: InstState,
+}
+
+thread_local! {
+    /// The shipping traversal's per-thread [`Scratch`].
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// The traversal state both loops share: seeded at `I0` by [`Walk::start`]
 /// and turned into a [`TsliceOutput`] by [`Walk::finish`].
-struct Walk<'p> {
+struct Walk<'p, 's> {
     prog: &'p Program,
     cfg: &'p TsliceConfig,
     crit: Criterion,
     summaries: Option<&'p ProgramSummaries>,
-    st: AnalysisState,
-    stack: Vec<Work>,
+    st: &'s mut AnalysisState,
+    stack: &'s mut Vec<Work>,
+    fired: &'s mut Vec<RuleName>,
+    explored: &'s mut FxHashSet<u32>,
     trace: Vec<TraceEvent>,
-    fired: Vec<RuleName>,
     stats: SliceStats,
     steps: usize,
     spills_at_start: u64,
 }
 
-impl<'p> Walk<'p> {
-    /// Processes `I0` against the boot state and queues its successors.
-    /// `None` when no instruction accesses `v0`.
+impl<'p, 's> Walk<'p, 's> {
+    /// Clears `bufs`, processes `I0` against the boot state and queues its
+    /// successors. `None` when no instruction accesses `v0`.
     fn start(
-        prog: &'p Program,
+        facts: &'p ProgramFacts<'_>,
         v0: VarAddr,
         cfg: &'p TsliceConfig,
-        summaries: Option<&'p ProgramSummaries>,
-    ) -> Option<Walk<'p>> {
+        bufs: &'s mut Buffers,
+    ) -> Option<Walk<'p, 's>> {
+        let prog = facts.program();
+        let summaries = cfg.use_call_summaries.then(|| facts.summaries());
         // I0: the first instruction operating on v0 (see the module docs).
-        let entry = crate::sslice::first_access(prog, v0)?;
+        let entry = facts.first_access(v0)?;
+        let Buffers { st, stack, fired, explored } = bufs;
+        st.clear();
+        stack.clear();
+        fired.clear();
+        explored.clear();
         let mut w = Walk {
             prog,
             cfg,
             crit: Criterion::new(v0, cfg.criterion_window),
             summaries,
-            st: AnalysisState::new(),
-            stack: Vec::new(),
+            st,
+            stack,
+            fired,
+            explored,
             trace: Vec::new(),
-            fired: Vec::new(),
             stats: SliceStats::default(),
             steps: 0,
             spills_at_start: crate::stats::thread_spills(),
@@ -209,16 +274,16 @@ impl<'p> Walk<'p> {
         // The bootstrap edge has no `pre` instruction and is not a counted
         // step.
         let cur = w.st.get_mut(entry);
-        if merge_and_transfer(prog, &w.crit, cfg, &boot, cur, entry, &mut w.fired) {
+        if merge_and_transfer(prog, &w.crit, cfg, &boot, cur, entry, w.fired) {
             w.st.bump(entry);
         }
-        let faith0 = apply_faith(&mut w.st, cfg, prog, entry, None);
+        let faith0 = apply_faith(w.st, cfg, prog, entry, None);
         w.record_trace(entry, faith0);
         // Line 3: D(I0) = true — the first access is dependent by definition.
         if w.st.get_mut(entry).mark_dep(0) {
             w.st.bump(entry);
         }
-        push_successors(prog, entry, &None, &mut w.stack, &w.st, None, summaries, &mut w.stats);
+        push_successors(prog, entry, &None, w.stack, w.st, None, summaries, &mut w.stats);
         Some(w)
     }
 
@@ -237,8 +302,10 @@ impl<'p> Walk<'p> {
     /// Builds the slice graph from the explored states and folds the
     /// counters into the process-wide aggregate.
     fn finish(self, v0: VarAddr) -> TsliceOutput {
-        let Walk { prog, st, trace, mut stats, steps, summaries, spills_at_start, .. } = self;
-        let explored: HashSet<u32> = st.iter().map(|(id, _)| id.0).collect();
+        let Walk {
+            prog, st, explored, trace, mut stats, steps, summaries, spills_at_start, ..
+        } = self;
+        explored.extend(st.iter().map(|(id, _)| id.0));
         let nodes: Vec<SliceNode> = st
             .iter()
             .filter(|(_, s)| s.dep)
@@ -251,7 +318,7 @@ impl<'p> Walk<'p> {
         // traversals agree.
         let mut summary_links: Vec<(u32, u32)> = Vec::new();
         if summaries.is_some() {
-            for &raw in &explored {
+            for &raw in explored.iter() {
                 let id = InstId(raw);
                 if let InstKind::Call { target: CallTarget::Direct(_) } = &prog.inst(id).kind {
                     if let Some(site) = prog.return_site(id) {
@@ -267,7 +334,7 @@ impl<'p> Walk<'p> {
             prog,
             v0,
             nodes,
-            &explored,
+            explored,
             steps,
             &summary_links,
         );
@@ -282,25 +349,37 @@ impl<'p> Walk<'p> {
 /// is identical to [`tslice_with`] on the same program.
 ///
 /// This is the shipping traversal: it borrows the pre-state from the arena,
-/// memoizes edges by state version, and dedupes pushes of edges already
-/// pending at the same pre-state version.
+/// memoizes edges by state version, dedupes pushes of edges already
+/// pending at the same pre-state version, and works in buffers the calling
+/// thread reuses from one criterion to the next.
 pub fn tslice_with_facts(
     facts: &ProgramFacts<'_>,
     v0: VarAddr,
     cfg: &TsliceConfig,
 ) -> TsliceOutput {
-    let prog = facts.program();
-    let summaries = cfg.use_call_summaries.then(|| facts.summaries());
-    let Some(mut w) = Walk::start(prog, v0, cfg, summaries) else {
-        return unreached(prog, v0);
+    SCRATCH.with(|cell| {
+        // Nothing the traversal calls slices again, so the scratch is never
+        // borrowed twice; a failure here is a bug in this module.
+        let mut sc = cell.try_borrow_mut().expect("TSLICE re-entered its own scratch");
+        run_fast(facts, v0, cfg, &mut sc)
+    })
+}
+
+/// The shipping traversal's loop, in `scratch`'s buffers.
+fn run_fast(
+    facts: &ProgramFacts<'_>,
+    v0: VarAddr,
+    cfg: &TsliceConfig,
+    sc: &mut Scratch,
+) -> TsliceOutput {
+    let Scratch { walk, memo, pending, size_cache, pre: scratch } = sc;
+    let Some(mut w) = Walk::start(facts, v0, cfg, walk) else {
+        return unreached(facts.program(), v0);
     };
-    let mut scratch = InstState::default();
-    let mut memo: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
-    let mut pending: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
-    // Snapshot sizes are cached per (record, version): states stabilize
-    // quickly, so most pops reuse the cached size instead of walking the
-    // stack map.
-    let mut size_cache: FxHashMap<u32, (u32, u64)> = FxHashMap::default();
+    let (prog, summaries) = (w.prog, w.summaries);
+    memo.clear();
+    pending.clear();
+    size_cache.clear();
 
     while let Some(Work { pre, i, ctx, pre_ver }) = w.stack.pop() {
         pending.remove(&(pre.0, i.0, pre_ver));
@@ -334,7 +413,7 @@ pub fn tslice_with_facts(
         let vers = (pre_cur_ver, w.st.version(i));
         if !cfg.trace && memo.get(&key) == Some(&vers) {
             w.stats.merges_skipped += 1;
-            apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+            apply_faith(w.st, cfg, prog, i, Some(pre));
             continue;
         }
         let summary = summary_for_edge(prog, summaries, pre, i);
@@ -345,36 +424,27 @@ pub fn tslice_with_facts(
             // record must stay untouched). Both reuse the one scratch buffer.
             match w.st.get(pre) {
                 Some(s) => scratch.clone_from(s),
-                None => scratch = InstState::default(),
+                None => scratch.reset(),
             }
             if let Some(sum) = summary {
-                apply_call_summary(&mut scratch, sum);
+                apply_call_summary(scratch, sum);
                 w.stats.summary_edges += 1;
             }
             let cur = w.st.get_mut(i);
-            merge_and_transfer(prog, &w.crit, cfg, &scratch, cur, i, &mut w.fired)
+            merge_and_transfer(prog, &w.crit, cfg, scratch, cur, i, w.fired)
         } else {
             let (pre_state, cur) = w.st.pair_mut(pre, i);
-            merge_and_transfer(prog, &w.crit, cfg, pre_state, cur, i, &mut w.fired)
+            merge_and_transfer(prog, &w.crit, cfg, pre_state, cur, i, w.fired)
         };
         if changed {
             w.st.bump(i);
         }
         memo.insert(key, (w.st.version(pre), w.st.version(i)));
-        let faith = apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+        let faith = apply_faith(w.st, cfg, prog, i, Some(pre));
         w.record_trace(i, faith);
         // Line 11: descend only if (V, S, D) changed.
         if changed {
-            push_successors(
-                prog,
-                i,
-                &ctx,
-                &mut w.stack,
-                &w.st,
-                Some(&mut pending),
-                summaries,
-                &mut w.stats,
-            );
+            push_successors(prog, i, &ctx, w.stack, w.st, Some(pending), summaries, &mut w.stats);
         }
     }
     w.finish(v0)
@@ -387,10 +457,11 @@ pub fn tslice_with_facts(
 #[doc(hidden)]
 pub fn tslice_reference(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> TsliceOutput {
     let facts = ProgramFacts::new(prog);
-    let summaries = cfg.use_call_summaries.then(|| facts.summaries());
-    let Some(mut w) = Walk::start(prog, v0, cfg, summaries) else {
+    let mut bufs = Buffers::default();
+    let Some(mut w) = Walk::start(&facts, v0, cfg, &mut bufs) else {
         return unreached(prog, v0);
     };
+    let summaries = w.summaries;
     while let Some(Work { pre, i, ctx, .. }) = w.stack.pop() {
         if w.st.faith(pre) <= 0.0 {
             w.stats.faith_cut_pops += 1;
@@ -406,14 +477,14 @@ pub fn tslice_reference(prog: &Program, v0: VarAddr, cfg: &TsliceConfig) -> Tsli
             w.stats.summary_edges += 1;
         }
         let cur = w.st.get_mut(i);
-        let changed = merge_and_transfer(prog, &w.crit, cfg, &pre_state, cur, i, &mut w.fired);
+        let changed = merge_and_transfer(prog, &w.crit, cfg, &pre_state, cur, i, w.fired);
         if changed {
             w.st.bump(i);
         }
-        let faith = apply_faith(&mut w.st, cfg, prog, i, Some(pre));
+        let faith = apply_faith(w.st, cfg, prog, i, Some(pre));
         w.record_trace(i, faith);
         if changed {
-            push_successors(prog, i, &ctx, &mut w.stack, &w.st, None, summaries, &mut w.stats);
+            push_successors(prog, i, &ctx, w.stack, w.st, None, summaries, &mut w.stats);
         }
     }
     w.finish(v0)

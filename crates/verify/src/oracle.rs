@@ -20,7 +20,8 @@ use crate::{Diagnostic, PassId};
 use std::collections::HashSet;
 use tiara_ir::{Program, VarAddr};
 use tiara_slice::{
-    check_kill_rules, first_access, sslice, tslice_with, Slice, TraceEvent, TsliceConfig,
+    check_kill_rules, first_access, sslice_with_facts, tslice_with_facts, ProgramFacts, Slice,
+    TraceEvent, TsliceConfig,
 };
 
 /// Faith comparisons tolerate accumulated floating-point error up to this.
@@ -189,9 +190,10 @@ pub fn verify_slices_with(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let cfg = TsliceConfig { trace: true, ..cfg.clone() };
+    let facts = ProgramFacts::new(prog);
     for &v0 in criteria {
-        let out = tslice_with(prog, v0, &cfg);
-        let base = sslice(prog, v0);
+        let out = tslice_with_facts(&facts, v0, &cfg);
+        let base = sslice_with_facts(&facts, v0);
         diags.extend(check_slice(prog, &out.slice));
         diags.extend(check_trace_monotone(&out.trace));
         diags.extend(check_tslice_in_sslice(&out.slice, &base));
@@ -212,7 +214,7 @@ pub fn verify_slices_with(
 mod tests {
     use super::*;
     use tiara_ir::{InstId, InstKind, MemAddr, Opcode, Operand, ProgramBuilder, Reg};
-    use tiara_slice::SliceNode;
+    use tiara_slice::{sslice, SliceNode};
 
     const V0: u64 = 0x100000;
 
