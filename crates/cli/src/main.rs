@@ -654,31 +654,27 @@ fn render_inspect_text(path: &str, r: &tiara_container::Reader) -> String {
 }
 
 fn render_inspect_json(path: &str, r: &tiara_container::Reader) -> String {
-    let sections: Vec<String> = r
-        .toc()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"kind\":\"{}\",\"kind_id\":{},\"index\":{},\"offset\":{},\"len\":{},\
-                 \"aligned_len\":{},\"checksum\":\"{:016x}\"}}",
-                tiara_container::kind::name(e.kind),
-                e.kind,
-                e.index,
-                e.offset,
-                e.len,
-                e.aligned_len(),
-                e.checksum
-            )
-        })
-        .collect();
-    format!(
-        "{{\"file\":{},\"format_version\":{},\"uuid\":\"{}\",\"file_len\":{},\"sections\":[{}]}}",
-        tiara_json::quote(path),
-        r.version(),
-        uuid_hex(r.uuid()),
-        r.file_len(),
-        sections.join(",")
-    )
+    use tiara_json::Value;
+    let int = |v: u64| Value::Int(v as i64);
+    let sections = r.toc().iter().map(|e| {
+        Value::obj([
+            ("kind", Value::Str(tiara_container::kind::name(e.kind).to_owned())),
+            ("kind_id", int(e.kind.into())),
+            ("index", int(e.index.into())),
+            ("offset", int(e.offset)),
+            ("len", int(e.len)),
+            ("aligned_len", int(e.aligned_len())),
+            ("checksum", Value::Str(format!("{:016x}", e.checksum))),
+        ])
+    });
+    Value::obj([
+        ("file", Value::Str(path.to_owned())),
+        ("format_version", int(r.version().into())),
+        ("uuid", Value::Str(uuid_hex(r.uuid()))),
+        ("file_len", int(r.file_len())),
+        ("sections", Value::Array(sections.collect())),
+    ])
+    .render()
 }
 
 fn parse_counts(s: &str) -> Result<tiara_synth::TypeCounts, CliError> {

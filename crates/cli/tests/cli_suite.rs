@@ -430,6 +430,40 @@ fn train_stats_prints_the_training_split() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `inspect --json` document for `model`, assembled independently from
+/// the container reader's own fields (plus the trailing newline).
+fn expected_inspect_json(model: &Path) -> String {
+    let r = tiara_container::Reader::new(tiara_container::AlignedBytes::copy_from(
+        &std::fs::read(model).unwrap(),
+    ))
+    .unwrap();
+    let sections: Vec<String> = r
+        .toc()
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"kind\":\"{}\",\"kind_id\":{},\"index\":{},\"offset\":{},\"len\":{},\
+                 \"aligned_len\":{},\"checksum\":\"{:016x}\"}}",
+                tiara_container::kind::name(e.kind),
+                e.kind,
+                e.index,
+                e.offset,
+                e.len,
+                e.aligned_len(),
+                e.checksum
+            )
+        })
+        .collect();
+    let uuid: String = r.uuid().iter().map(|b| format!("{b:02x}")).collect();
+    format!(
+        "{{\"file\":{},\"format_version\":{},\"uuid\":\"{uuid}\",\"file_len\":{},\"sections\":[{}]}}\n",
+        tiara_json::quote(model.to_str().unwrap()),
+        r.version(),
+        r.file_len(),
+        sections.join(",")
+    )
+}
+
 #[test]
 fn inspect_reports_container_header_and_sections() {
     let dir = tempdir("inspect");
@@ -451,6 +485,7 @@ fn inspect_reports_container_header_and_sections() {
     assert!(body.contains("\"uuid\":\""), "json shape:\n{body}");
     assert!(body.contains("\"kind\":\"weight-f32\""), "json shape:\n{body}");
     assert!(body.contains("\"checksum\":\""), "json shape:\n{body}");
+    assert_eq!(body, expected_inspect_json(&model), "inspect --json must match the reader");
 
     // A non-container file is an invalid bundle (exit 9), a missing file is
     // an I/O failure (exit 3), and no file at all is a usage error (exit 2).

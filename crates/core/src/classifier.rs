@@ -6,7 +6,8 @@ use crate::dataset::Dataset;
 use crate::error::Error;
 use crate::features::FEATURE_DIM;
 use crate::metrics::Evaluation;
-use tiara_gnn::{EpochStats, Gcn, GcnConfig, GraphSample, Mlp, MlpConfig, TrainStats};
+use std::borrow::Cow;
+use tiara_gnn::{Aggregation, EpochStats, Gcn, GcnConfig, GraphSample, TrainStats};
 use tiara_ir::ContainerClass;
 
 /// Which model backs the classifier.
@@ -15,7 +16,12 @@ pub enum ModelKind {
     /// The paper's graph convolutional network.
     Gcn,
     /// A bag-of-instructions MLP that ignores the slice CFG's edges —
-    /// the "no graph structure" ablation baseline.
+    /// the "no graph structure" ablation baseline. It runs on the GCN
+    /// engine: every input graph is first collapsed by
+    /// [`GraphSample::mean_pooled`], and the model is pinned to two layers
+    /// with mean aggregation (`num_layers` and `aggregation` are ignored),
+    /// which makes it `head·ReLU(W2·ReLU(W1·x̄))` over the mean node
+    /// features `x̄`.
     Mlp,
 }
 
@@ -30,7 +36,7 @@ pub struct ClassifierConfig {
     /// Number of graph-convolution layers.
     pub num_layers: usize,
     /// Neighborhood pooling.
-    pub aggregation: tiara_gnn::Aggregation,
+    pub aggregation: Aggregation,
     /// Learning rate.
     pub learning_rate: f32,
     /// Training epochs. The paper uses 300 (on a Tesla P100); the CPU-bound
@@ -48,7 +54,7 @@ impl Default for ClassifierConfig {
             model: ModelKind::Gcn,
             hidden_dim: 64,
             num_layers: 2,
-            aggregation: tiara_gnn::Aggregation::Mean,
+            aggregation: Aggregation::Mean,
             learning_rate: 1e-3,
             epochs: 300,
             batch_size: 32,
@@ -58,24 +64,16 @@ impl Default for ClassifierConfig {
 }
 
 impl ClassifierConfig {
-    fn to_mlp(&self) -> MlpConfig {
-        MlpConfig {
-            input_dim: FEATURE_DIM,
-            hidden_dim: self.hidden_dim,
-            num_classes: ContainerClass::COUNT,
-            learning_rate: self.learning_rate,
-            epochs: self.epochs,
-            batch_size: self.batch_size,
-            seed: self.seed,
-        }
-    }
-
     fn to_gcn(&self) -> GcnConfig {
+        let (num_layers, aggregation) = match self.model {
+            ModelKind::Gcn => (self.num_layers, self.aggregation),
+            ModelKind::Mlp => (2, Aggregation::Mean),
+        };
         GcnConfig {
             input_dim: FEATURE_DIM,
             hidden_dim: self.hidden_dim,
-            num_layers: self.num_layers,
-            aggregation: self.aggregation,
+            num_layers,
+            aggregation,
             num_classes: ContainerClass::COUNT,
             learning_rate: self.learning_rate,
             epochs: self.epochs,
@@ -83,30 +81,20 @@ impl ClassifierConfig {
             seed: self.seed,
         }
     }
-}
-
-/// The model behind a classifier.
-#[derive(Debug, Clone)]
-enum Model {
-    Gcn(Gcn),
-    Mlp(Mlp),
 }
 
 /// A trainable/trained container-type classifier.
 #[derive(Debug, Clone)]
 pub struct Classifier {
-    model: Model,
+    gcn: Gcn,
+    kind: ModelKind,
     trained: bool,
 }
 
 impl Classifier {
     /// Creates an untrained classifier.
     pub fn new(config: &ClassifierConfig) -> Classifier {
-        let model = match config.model {
-            ModelKind::Gcn => Model::Gcn(Gcn::new(config.to_gcn())),
-            ModelKind::Mlp => Model::Mlp(Mlp::new(config.to_mlp())),
-        };
-        Classifier { model, trained: false }
+        Classifier { gcn: Gcn::new(config.to_gcn()), kind: config.model, trained: false }
     }
 
     /// Whether [`Classifier::train`] (or a variant) has completed on this
@@ -114,6 +102,15 @@ impl Classifier {
     /// returns [`Error::Untrained`] while this is `false`.
     pub fn is_trained(&self) -> bool {
         self.trained
+    }
+
+    /// The model's inputs for `graphs`: the graphs themselves for the GCN,
+    /// their mean-pooled collapses for the edge-blind MLP.
+    fn inputs<'a>(&self, graphs: &'a [GraphSample]) -> Cow<'a, [GraphSample]> {
+        match self.kind {
+            ModelKind::Gcn => Cow::Borrowed(graphs),
+            ModelKind::Mlp => Cow::Owned(graphs.iter().map(GraphSample::mean_pooled).collect()),
+        }
     }
 
     /// Trains on a dataset, returning per-epoch statistics.
@@ -125,7 +122,8 @@ impl Classifier {
         self.train_with_progress(train, |_| {})
     }
 
-    /// Trains with a per-epoch callback (for progress reporting).
+    /// Trains with a per-epoch callback (for progress reporting), called
+    /// as each epoch finishes.
     ///
     /// # Errors
     ///
@@ -138,23 +136,15 @@ impl Classifier {
         if train.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let stats = match &mut self.model {
-            Model::Gcn(g) => g.train_with_progress(&train.graphs(), progress),
-            Model::Mlp(m) => {
-                let stats = m.train(&train.graphs());
-                let mut progress = progress;
-                for s in &stats {
-                    progress(s);
-                }
-                stats
-            }
-        };
+        let graphs = train.graphs();
+        let stats = self.gcn.train_with_progress(&self.inputs(&graphs), progress);
         self.trained = true;
         Ok(stats)
     }
 
     /// Trains with a held-out validation dataset, keeping the epoch with the
-    /// best validation accuracy (see [`Gcn::train_with_validation`]).
+    /// best validation accuracy for either model kind (see
+    /// [`Gcn::train_with_validation`]).
     ///
     /// # Errors
     ///
@@ -167,50 +157,27 @@ impl Classifier {
         if train.is_empty() || validation.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let out = match &mut self.model {
-            Model::Gcn(g) => g.train_with_validation(&train.graphs(), &validation.graphs()),
-            Model::Mlp(m) => {
-                // The MLP baseline trains straight through; validation
-                // accuracy is reported for the final weights.
-                let stats = m.train(&train.graphs());
-                let preds = m.predict_batch(&validation.graphs());
-                let correct = preds
-                    .iter()
-                    .zip(&validation.samples)
-                    .filter(|(p, s)| **p as usize == s.label.index())
-                    .count();
-                (stats, correct as f32 / validation.len() as f32)
-            }
-        };
+        let (train, validation) = (train.graphs(), validation.graphs());
+        let out = self.gcn.train_with_validation(&self.inputs(&train), &self.inputs(&validation));
         self.trained = true;
         Ok(out)
     }
 
     /// Predicts the class of one slice graph.
     pub fn predict(&self, graph: &GraphSample) -> ContainerClass {
-        let idx = match &self.model {
-            Model::Gcn(g) => g.predict(graph),
-            Model::Mlp(m) => m.predict(graph),
-        };
-        ContainerClass::from_index(idx as usize)
+        self.predict_batch(std::slice::from_ref(graph))[0]
     }
 
     /// Class probabilities for one slice graph, indexed by
     /// [`ContainerClass::index`].
     pub fn predict_proba(&self, graph: &GraphSample) -> Vec<f32> {
-        match &self.model {
-            Model::Gcn(g) => g.predict_proba(graph),
-            Model::Mlp(m) => m.predict_proba(graph),
-        }
+        self.gcn.predict_proba(&self.inputs(std::slice::from_ref(graph))[0])
     }
 
     /// Predicted classes for a batch of slice graphs, one batched forward
     /// pass per `batch_size` chunk.
     pub fn predict_batch(&self, graphs: &[GraphSample]) -> Vec<ContainerClass> {
-        let preds = match &self.model {
-            Model::Gcn(g) => g.predict_batch(graphs),
-            Model::Mlp(m) => m.predict_batch(graphs),
-        };
+        let preds = self.gcn.predict_batch(&self.inputs(graphs));
         preds.into_iter().map(|p| ContainerClass::from_index(p as usize)).collect()
     }
 
@@ -218,70 +185,41 @@ impl Classifier {
     /// pass per `batch_size` chunk. Row `i` is bitwise identical to
     /// `predict_proba(&graphs[i])`.
     pub fn predict_proba_batch(&self, graphs: &[GraphSample]) -> Vec<Vec<f32>> {
-        match &self.model {
-            Model::Gcn(g) => g.predict_proba_batch(graphs),
-            Model::Mlp(m) => m.predict_proba_batch(graphs),
-        }
+        self.gcn.predict_proba_batch(&self.inputs(graphs))
     }
 
-    /// Perf counters of the most recent training call (zeroed for the MLP
-    /// baseline and untrained models; not persisted).
+    /// Perf counters of the most recent training call, for either model
+    /// kind (zeroed for untrained models; not persisted).
     pub fn train_stats(&self) -> TrainStats {
-        match &self.model {
-            Model::Gcn(g) => g.train_stats(),
-            Model::Mlp(_) => TrainStats::default(),
-        }
+        self.gcn.train_stats()
     }
 
-    /// The backing GCN, when this classifier is GCN-based (container
-    /// persistence reads the weights through this).
-    pub(crate) fn gcn(&self) -> Option<&Gcn> {
-        match &self.model {
-            Model::Gcn(g) => Some(g),
-            Model::Mlp(_) => None,
-        }
+    /// Which model family this classifier is.
+    pub(crate) fn kind(&self) -> ModelKind {
+        self.kind
     }
 
-    /// The backing MLP, when this classifier is the ablation baseline.
-    pub(crate) fn mlp(&self) -> Option<&Mlp> {
-        match &self.model {
-            Model::Gcn(_) => None,
-            Model::Mlp(m) => Some(m),
-        }
+    /// The backing GCN (container persistence reads the weights through
+    /// this; for [`ModelKind::Mlp`] it runs on mean-pooled graphs).
+    pub(crate) fn gcn(&self) -> &Gcn {
+        &self.gcn
     }
 
     /// Wraps a rebuilt GCN (container loading).
-    pub(crate) fn from_gcn(gcn: Gcn, trained: bool) -> Classifier {
-        Classifier { model: Model::Gcn(gcn), trained }
-    }
-
-    /// Wraps a rebuilt MLP (container loading).
-    pub(crate) fn from_mlp(mlp: Mlp, trained: bool) -> Classifier {
-        Classifier { model: Model::Mlp(mlp), trained }
+    pub(crate) fn from_gcn(gcn: Gcn, kind: ModelKind, trained: bool) -> Classifier {
+        Classifier { gcn, kind, trained }
     }
 
     /// Total bytes the model weights borrow zero-copy from mapped storage
     /// (0 for a fully owned model).
     pub fn mapped_weight_bytes(&self) -> usize {
-        match &self.model {
-            Model::Gcn(g) => g.mapped_weight_bytes(),
-            Model::Mlp(m) => m.mapped_weight_bytes(),
-        }
+        self.gcn.mapped_weight_bytes()
     }
 
     /// Evaluates on a test dataset.
     pub fn evaluate(&self, test: &Dataset) -> Evaluation {
-        let graphs = test.graphs();
-        let preds = match &self.model {
-            Model::Gcn(g) => g.predict_batch(&graphs),
-            Model::Mlp(m) => m.predict_batch(&graphs),
-        };
-        Evaluation::from_pairs(
-            test.samples
-                .iter()
-                .zip(preds)
-                .map(|(s, p)| (s.label, ContainerClass::from_index(p as usize))),
-        )
+        let preds = self.predict_batch(&test.graphs());
+        Evaluation::from_pairs(test.samples.iter().zip(preds).map(|(s, p)| (s.label, p)))
     }
 }
 
@@ -350,13 +288,14 @@ mod tests {
         let ds = dataset();
         let mut clf = Classifier::new(&quick_config(3));
         clf.train(&ds).unwrap();
-        let gcn = clf.gcn().expect("default config is GCN");
+        let gcn = clf.gcn();
         let rebuilt = Classifier::from_gcn(
             Gcn::from_parts(
                 gcn.config().clone(),
                 gcn.conv_weights().to_vec(),
                 gcn.head_weights().clone(),
             ),
+            ModelKind::Gcn,
             clf.is_trained(),
         );
         assert!(rebuilt.is_trained());
@@ -374,6 +313,40 @@ mod tests {
         assert!(!clf.is_trained(), "failed training must not mark the model trained");
         clf.train(&ds).unwrap();
         assert!(clf.is_trained());
+    }
+
+    #[test]
+    fn mlp_is_the_two_layer_mean_engine_with_live_progress_and_counters() {
+        let ds = dataset();
+        let cfg = ClassifierConfig {
+            model: ModelKind::Mlp,
+            num_layers: 5,
+            aggregation: Aggregation::Sum,
+            ..quick_config(3)
+        };
+        let mut clf = Classifier::new(&cfg);
+        let c = clf.gcn().config();
+        assert_eq!((c.num_layers, c.aggregation), (2, Aggregation::Mean), "layout is pinned");
+        let mut seen = Vec::new();
+        let stats = clf.train_with_progress(&ds, |s| seen.push(*s)).unwrap();
+        assert_eq!(seen, stats, "progress reports every epoch");
+        assert!(clf.train_stats().batches > 0 && clf.train_stats().fused_kernel_calls > 0);
+        // Edge-blind: a graph and its mean-pooled collapse are the same input.
+        let g = &ds.samples[0].graph;
+        assert_eq!(clf.predict_proba(g), clf.predict_proba(&g.mean_pooled()));
+    }
+
+    #[test]
+    fn mlp_validation_training_keeps_the_best_epoch() {
+        let ds = dataset();
+        let (train, val) = ds.split(0.75, 11);
+        let cfg = ClassifierConfig { model: ModelKind::Mlp, ..quick_config(12) };
+        let mut clf = Classifier::new(&cfg);
+        let (stats, best) = clf.train_with_validation(&train, &val).unwrap();
+        assert_eq!(stats.len(), 12);
+        let preds = clf.predict_batch(&val.graphs());
+        let correct = preds.iter().zip(&val.samples).filter(|(p, s)| **p == s.label).count();
+        assert_eq!(correct as f32 / val.len() as f32, best, "the best epoch is restored");
     }
 
     #[test]

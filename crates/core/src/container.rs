@@ -20,13 +20,13 @@
 //! `Gcn::from_parts` et al. are only reached after the decoder has verified
 //! the same invariants fallibly.
 
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, ModelKind};
 use crate::dataset::Slicer;
 use crate::error::Error;
 use crate::slice_cache::{self, SnapshotEntry};
 use std::sync::Arc;
 use tiara_container::{fnv1a64, kind, F32Section, Reader, Writer, FNV_OFFSET};
-use tiara_gnn::{Aggregation, Gcn, GcnConfig, Matrix, Mlp, MlpConfig};
+use tiara_gnn::{Aggregation, Gcn, GcnConfig, Matrix};
 use tiara_ir::{ContainerClass, FuncId, MemAddr, VarAddr};
 use tiara_slice::{DecayFunction, Slice, SliceNode, TsliceConfig};
 
@@ -164,20 +164,8 @@ pub(crate) fn encode(slicer: &Slicer, classifier: &Classifier, with_cache: bool)
     w.add_section(kind::MODEL_CONFIG, 0, encode_model_config(classifier));
     w.add_section(kind::SLICER_CONFIG, 0, encode_slicer(slicer));
     w.add_section(kind::LABEL_VOCAB, 0, encode_label_vocab());
-    if let Some(g) = classifier.gcn() {
-        for (i, m) in g.conv_weights().iter().enumerate() {
-            w.add_section(kind::WEIGHT_F32, i as u32, encode_matrix(m));
-        }
-        w.add_section(
-            kind::WEIGHT_F32,
-            g.conv_weights().len() as u32,
-            encode_matrix(g.head_weights()),
-        );
-    } else if let Some(m) = classifier.mlp() {
-        let (w1, w2, head) = m.weights();
-        w.add_section(kind::WEIGHT_F32, 0, encode_matrix(w1));
-        w.add_section(kind::WEIGHT_F32, 1, encode_matrix(w2));
-        w.add_section(kind::WEIGHT_F32, 2, encode_matrix(head));
+    for (i, m) in model_weights(classifier).enumerate() {
+        w.add_section(kind::WEIGHT_F32, i as u32, encode_matrix(m));
     }
     if with_cache {
         for (shard, entries) in slice_cache::snapshot().iter().enumerate() {
@@ -189,36 +177,41 @@ pub(crate) fn encode(slicer: &Slicer, classifier: &Classifier, with_cache: bool)
     w.finish()
 }
 
+/// The weight matrices in section order: the layers, then the head. For
+/// the MLP the two layers are its dense layers `w1`, `w2` (sections 0/1/2).
+fn model_weights(classifier: &Classifier) -> impl Iterator<Item = &Matrix> {
+    let g = classifier.gcn();
+    g.conv_weights().iter().chain([g.head_weights()])
+}
+
+/// The `MODEL_CONFIG` payload. Model kind 0 is the GCN with its full
+/// config; kind 1 is the MLP, whose record predates its move onto the GCN
+/// engine and so has no `num_layers`, `aggregation` or `reference_mode`
+/// (it is always 2 layers with mean aggregation).
 fn encode_model_config(classifier: &Classifier) -> Vec<u8> {
+    let gcn = classifier.kind() == ModelKind::Gcn;
+    let c = classifier.gcn().config();
     let mut e = Enc::new();
-    e.u8(if classifier.gcn().is_some() { 0 } else { 1 });
+    e.u8(u8::from(!gcn));
     e.u8(u8::from(classifier.is_trained()));
     e.u8(0); // has_quant: always 0 since int8 inference was retired
     e.u8(0); // padding, reserved
-    if let Some(g) = classifier.gcn() {
-        let c = g.config();
-        e.usize(c.input_dim);
-        e.usize(c.hidden_dim);
+    e.usize(c.input_dim);
+    e.usize(c.hidden_dim);
+    if gcn {
         e.usize(c.num_layers);
         e.u8(match c.aggregation {
             Aggregation::Mean => 0,
             Aggregation::Sum => 1,
         });
-        e.usize(c.num_classes);
-        e.f32(c.learning_rate);
-        e.usize(c.epochs);
-        e.usize(c.batch_size);
-        e.u64(c.seed);
+    }
+    e.usize(c.num_classes);
+    e.f32(c.learning_rate);
+    e.usize(c.epochs);
+    e.usize(c.batch_size);
+    e.u64(c.seed);
+    if gcn {
         e.u8(0); // reference_mode: always 0 since the tape became a test oracle
-    } else if let Some(m) = classifier.mlp() {
-        let c = m.config();
-        e.usize(c.input_dim);
-        e.usize(c.hidden_dim);
-        e.usize(c.num_classes);
-        e.f32(c.learning_rate);
-        e.usize(c.epochs);
-        e.usize(c.batch_size);
-        e.u64(c.seed);
     }
     e.0
 }
@@ -350,8 +343,8 @@ pub(crate) fn decode(reader: &Reader) -> Result<DecodedTiara, Error> {
     mc.u8()?; // reserved
 
     let classifier = match model_kind {
-        0 => decode_gcn(reader, &mut mc, trained)?,
-        1 => decode_mlp(reader, &mut mc, trained)?,
+        0 => decode_model(reader, &mut mc, ModelKind::Gcn, trained)?,
+        1 => decode_model(reader, &mut mc, ModelKind::Mlp, trained)?,
         k => return bad(format!("unknown model kind {k}")),
     };
     mc.done()?;
@@ -472,30 +465,48 @@ fn decode_weight(reader: &Reader, index: u32, rows: usize, cols: usize) -> Resul
     Ok(Matrix::from_shared(rows, cols, Arc::new(src), 0))
 }
 
-fn decode_gcn(reader: &Reader, mc: &mut Dec<'_>, trained: bool) -> Result<Classifier, Error> {
-    let config = GcnConfig {
-        input_dim: mc.usize()?,
-        hidden_dim: mc.usize()?,
-        num_layers: mc.usize()?,
-        aggregation: match mc.u8()? {
-            0 => Aggregation::Mean,
-            1 => Aggregation::Sum,
+/// The inverse of [`encode_model_config`] past the kind byte, then the
+/// `num_layers + 1` weight sections.
+fn decode_model(
+    reader: &Reader,
+    mc: &mut Dec<'_>,
+    model: ModelKind,
+    trained: bool,
+) -> Result<Classifier, Error> {
+    let gcn = model == ModelKind::Gcn;
+    let input_dim = mc.usize()?;
+    let hidden_dim = mc.usize()?;
+    let (num_layers, aggregation) = if gcn {
+        let layers = mc.usize()?;
+        match mc.u8()? {
+            0 => (layers, Aggregation::Mean),
+            1 => (layers, Aggregation::Sum),
             t => return bad(format!("unknown aggregation tag {t}")),
-        },
+        }
+    } else {
+        (2, Aggregation::Mean)
+    };
+    let config = GcnConfig {
+        input_dim,
+        hidden_dim,
+        num_layers,
+        aggregation,
         num_classes: mc.usize()?,
         learning_rate: mc.f32()?,
         epochs: mc.usize()?,
         batch_size: mc.usize()?,
         seed: mc.u64()?,
     };
-    mc.bool()?; // reference_mode: set by older writers, ignored
+    if gcn {
+        mc.bool()?; // reference_mode: set by older writers, ignored
+    }
     if config.num_layers == 0 {
         return bad("model config declares zero convolution layers");
     }
     let weight_sections = reader.sections_of(kind::WEIGHT_F32).count();
     if weight_sections != config.num_layers + 1 {
         return bad(format!(
-            "{} weight sections for a {}-layer GCN (want layers + head = {})",
+            "{} weight sections for a {}-layer model (want layers + head = {})",
             weight_sections,
             config.num_layers,
             config.num_layers + 1
@@ -509,29 +520,7 @@ fn decode_gcn(reader: &Reader, mc: &mut Dec<'_>, trained: bool) -> Result<Classi
     }
     let head =
         decode_weight(reader, config.num_layers as u32, config.hidden_dim, config.num_classes)?;
-
-    let gcn = Gcn::from_parts(config, convs, head);
-    Ok(Classifier::from_gcn(gcn, trained))
-}
-
-fn decode_mlp(reader: &Reader, mc: &mut Dec<'_>, trained: bool) -> Result<Classifier, Error> {
-    let config = MlpConfig {
-        input_dim: mc.usize()?,
-        hidden_dim: mc.usize()?,
-        num_classes: mc.usize()?,
-        learning_rate: mc.f32()?,
-        epochs: mc.usize()?,
-        batch_size: mc.usize()?,
-        seed: mc.u64()?,
-    };
-    let weight_sections = reader.sections_of(kind::WEIGHT_F32).count();
-    if weight_sections != 3 {
-        return bad(format!("{weight_sections} weight sections for an MLP (want 3)"));
-    }
-    let w1 = decode_weight(reader, 0, config.input_dim, config.hidden_dim)?;
-    let w2 = decode_weight(reader, 1, config.hidden_dim, config.hidden_dim)?;
-    let head = decode_weight(reader, 2, config.hidden_dim, config.num_classes)?;
-    Ok(Classifier::from_mlp(Mlp::from_parts(config, w1, w2, head), trained))
+    Ok(Classifier::from_gcn(Gcn::from_parts(config, convs, head), model, trained))
 }
 
 fn decode_var_addr(d: &mut Dec<'_>) -> Result<VarAddr, Error> {
@@ -613,19 +602,8 @@ fn digest_matrix(mut h: u64, m: &Matrix) -> u64 {
 /// canonical `MODEL_CONFIG` bytes, so the digest moves only when those bytes
 /// or the weights do.
 pub(crate) fn model_digest(classifier: &Classifier) -> u64 {
-    let mut h = fnv1a64(FNV_OFFSET, &encode_model_config(classifier));
-    if let Some(g) = classifier.gcn() {
-        for m in g.conv_weights() {
-            h = digest_matrix(h, m);
-        }
-        h = digest_matrix(h, g.head_weights());
-    } else if let Some(m) = classifier.mlp() {
-        let (w1, w2, head) = m.weights();
-        for m in [w1, w2, head] {
-            h = digest_matrix(h, m);
-        }
-    }
-    h
+    let h = fnv1a64(FNV_OFFSET, &encode_model_config(classifier));
+    model_weights(classifier).fold(h, digest_matrix)
 }
 
 #[cfg(test)]
@@ -675,7 +653,7 @@ mod tests {
     #[test]
     fn gcn_round_trips_bitwise_and_zero_copy() {
         let gcn = toy_gcn(5);
-        let clf = Classifier::from_gcn(gcn, true);
+        let clf = Classifier::from_gcn(gcn, ModelKind::Gcn, true);
         let bytes = encode(&Slicer::default(), &clf, false);
         let decoded = decode(&read(&bytes)).unwrap();
         assert!(decoded.classifier.is_trained());
@@ -703,23 +681,37 @@ mod tests {
 
     #[test]
     fn mlp_round_trips() {
-        let mut mlp = Mlp::new(MlpConfig {
-            input_dim: 4,
-            hidden_dim: 8,
-            num_classes: 2,
-            learning_rate: 0.01,
+        let bin = tiara_synth::generate(&tiara_synth::ProjectSpec {
+            name: "t".into(),
+            index: 2,
+            seed: 21,
+            counts: tiara_synth::TypeCounts {
+                vector: 3,
+                map: 2,
+                primitive: 4,
+                ..Default::default()
+            },
+        });
+        let ds = crate::Dataset::from_binary(&bin.program, &bin.debug, "t", &Slicer::default());
+        let mut clf = Classifier::new(&crate::ClassifierConfig {
+            model: ModelKind::Mlp,
             epochs: 3,
             batch_size: 4,
-            seed: 5,
+            ..Default::default()
         });
-        mlp.train(&toy_graphs(3));
-        let clf = Classifier::from_mlp(mlp, true);
+        clf.train(&ds).unwrap();
         let bytes = encode(&Slicer::Sslice, &clf, false);
+        assert_eq!(read(&bytes).section(kind::MODEL_CONFIG, 0).unwrap()[0], 1, "MLP kind byte");
         let decoded = decode(&read(&bytes)).unwrap();
         assert!(matches!(decoded.slicer, Slicer::Sslice));
+        assert_eq!(decoded.classifier.kind(), ModelKind::Mlp);
         assert_eq!(model_digest(&clf), model_digest(&decoded.classifier));
-        let data = toy_graphs(2);
-        assert_eq!(clf.predict_batch(&data), decoded.classifier.predict_batch(&data));
+        let data = ds.graphs();
+        let bits = |c: &Classifier| -> Vec<u32> {
+            c.predict_proba_batch(&data).into_iter().flatten().map(f32::to_bits).collect()
+        };
+        assert_eq!(bits(&clf), bits(&decoded.classifier));
+        assert!(decoded.classifier.mapped_weight_bytes() > 0);
     }
 
     #[test]
@@ -732,7 +724,7 @@ mod tests {
             use_call_summaries: true,
             ..TsliceConfig::default()
         });
-        let clf = Classifier::from_gcn(toy_gcn(1), true);
+        let clf = Classifier::from_gcn(toy_gcn(1), ModelKind::Gcn, true);
         let bytes = encode(&slicer, &clf, false);
         let decoded = decode(&read(&bytes)).unwrap();
         assert_eq!(format!("{slicer:?}"), format!("{:?}", decoded.slicer));
@@ -740,7 +732,7 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic() {
-        let clf = Classifier::from_gcn(toy_gcn(2), true);
+        let clf = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
         let a = encode(&Slicer::default(), &clf, false);
         let b = encode(&Slicer::default(), &clf, false);
         assert_eq!(a, b);
@@ -801,7 +793,7 @@ mod tests {
 
     #[test]
     fn mismatched_weight_shape_is_a_persistence_error() {
-        let clf = Classifier::from_gcn(toy_gcn(1), true);
+        let clf = Classifier::from_gcn(toy_gcn(1), ModelKind::Gcn, true);
         let bytes = encode(&Slicer::default(), &clf, false);
         let reader = read(&bytes);
         // Re-assemble the container with the head section swapped for conv 0:
@@ -825,7 +817,7 @@ mod tests {
     fn retired_quant_tables_are_ignored_on_load() {
         // Older writers set the has_quant byte and added tag-5 sections;
         // such files still load and serve their f32 weights.
-        let clf = Classifier::from_gcn(toy_gcn(2), true);
+        let clf = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
         let reader = read(&encode(&Slicer::default(), &clf, false));
         let mut w = Writer::new();
         for e in reader.toc() {
@@ -842,8 +834,8 @@ mod tests {
 
     #[test]
     fn digest_distinguishes_models_and_ignores_storage() {
-        let a = Classifier::from_gcn(toy_gcn(2), true);
-        let b = Classifier::from_gcn(toy_gcn(3), true);
+        let a = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
+        let b = Classifier::from_gcn(toy_gcn(3), ModelKind::Gcn, true);
         assert_ne!(model_digest(&a), model_digest(&b));
         let bytes = encode(&Slicer::default(), &a, false);
         let mapped = decode(&read(&bytes)).unwrap().classifier;

@@ -642,14 +642,15 @@ mod tests {
         slice_cache::clear();
     }
 
-    /// Persists a cache shard whose entries are keyed by `foreign(key)`,
-    /// where `key` is this build's default slicer key, and checks that the
-    /// shard loads cleanly and that every lookup under `key` then misses.
+    /// Persists a cache shard whose entries are keyed by
+    /// `foreign(program, key)`, where `key` is this build's (program key,
+    /// default slicer key) pair, and checks that the shard loads cleanly and
+    /// that every lookup under `key` then misses.
     ///
     /// Other tests slice [`e2e_binary`] under the default key into the
     /// process-wide cache without holding `test_lock`, so this uses a
     /// program of its own: no concurrent test can turn a lookup into a hit.
-    fn assert_foreign_shards_load_as_misses(foreign: impl Fn(u64) -> u64) {
+    fn assert_foreign_shards_load_as_misses(foreign: impl Fn(&Program, (u64, u64)) -> (u64, u64)) {
         let _guard = crate::slice_cache::test_lock();
         let bin = generate(&ProjectSpec {
             name: "foreign-key".into(),
@@ -666,11 +667,11 @@ mod tests {
         let addrs: Vec<_> = bin.labeled_vars().map(|(a, _)| a).collect();
         let prog_fp = slice_cache::program_fingerprint(&bin.program);
         let slicer_fp = slice_cache::slicer_fingerprint(tiara.slicer());
-        let foreign = foreign(slicer_fp);
-        assert_ne!(foreign, slicer_fp);
+        let (foreign_prog, foreign_slicer) = foreign(&bin.program, (prog_fp, slicer_fp));
+        assert_ne!((foreign_prog, foreign_slicer), (prog_fp, slicer_fp));
         slice_cache::clear();
         for &addr in &addrs {
-            slice_cache::get_or_slice(prog_fp, foreign, addr, || {
+            slice_cache::get_or_slice(foreign_prog, foreign_slicer, addr, || {
                 tiara.slicer().run(&bin.program, addr)
             });
         }
@@ -694,14 +695,25 @@ mod tests {
         // A shard persisted under a slicer key this build never produces
         // (an older fingerprint scheme, or another slicer) must load
         // cleanly and then simply never hit.
-        assert_foreign_shards_load_as_misses(|key| !key);
+        assert_foreign_shards_load_as_misses(|_, (prog, slicer)| (prog, !slicer));
+    }
+
+    #[test]
+    fn cache_shards_under_the_default_hasher_program_key_load_as_misses() {
+        // Builds that keyed programs by `DefaultHasher` over the assembled
+        // image persisted shards this build must not answer from.
+        assert_foreign_shards_load_as_misses(|prog, (_, slicer)| {
+            (slice_cache::default_hasher_program_key(prog), slicer)
+        });
     }
 
     #[test]
     fn cache_shards_sliced_under_the_old_value_set_cap_load_as_misses() {
         // Builds with value-set cap 48 keyed the default slicer by its `.tc`
         // encoding alone; their slices differ from this build's.
-        assert_foreign_shards_load_as_misses(|_| slice_cache::PRE_CAP_DEFAULT_KEY);
+        assert_foreign_shards_load_as_misses(|_, (prog, _)| {
+            (prog, slice_cache::PRE_CAP_DEFAULT_KEY)
+        });
     }
 
     #[test]
@@ -709,7 +721,9 @@ mod tests {
         // Builds whose full value sets still let a constant evict a
         // constant keyed the default slicer by its `.tc` encoding and the
         // cap; their slices differ from this build's.
-        assert_foreign_shards_load_as_misses(|_| slice_cache::EVICTING_CAP_DEFAULT_KEY);
+        assert_foreign_shards_load_as_misses(|_, (prog, _)| {
+            (prog, slice_cache::EVICTING_CAP_DEFAULT_KEY)
+        });
     }
 
     #[test]

@@ -56,14 +56,14 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// A stable fingerprint of a program, derived from its assembled image.
+/// A stable fingerprint of a program: FNV-1a64 of its assembled image, so
+/// the key is the same across builds and toolchains. It keys persisted
+/// cache shards and is the wire `upload` op's `fingerprint`.
 ///
 /// Computed once per binary and reused for every address, so the hash cost
 /// is amortized over the whole debug-info table.
 pub fn program_fingerprint(prog: &Program) -> u64 {
-    let mut h = DefaultHasher::new();
-    tiara_ir::assemble(prog).hash(&mut h);
-    h.finish()
+    fnv1a64(FNV_OFFSET, &tiara_ir::assemble(prog))
 }
 
 /// A fingerprint of a slicer configuration (algorithm + every knob), so
@@ -200,6 +200,16 @@ pub(crate) const PRE_CAP_DEFAULT_KEY: u64 = 0xbee4_772b_0457_6058;
 #[cfg(test)]
 pub(crate) const EVICTING_CAP_DEFAULT_KEY: u64 = 0x164a_d5f2_dbca_8a50;
 
+/// A program's key in builds that hashed its assembled image with the
+/// standard library's `DefaultHasher`, whose output Rust does not promise
+/// to keep between releases. Shards persisted under it must load as misses.
+#[cfg(test)]
+pub(crate) fn default_hasher_program_key(prog: &Program) -> u64 {
+    let mut h = DefaultHasher::new();
+    tiara_ir::assemble(prog).hash(&mut h);
+    h.finish()
+}
+
 /// Serializes tests (here and in [`crate::pipeline`]) that clear the cache,
 /// toggle [`set_enabled`], or assert on the global counters. Other core
 /// tests use the cache too, but only ever with it enabled, which every
@@ -248,6 +258,21 @@ mod tests {
         // A different slicer fingerprint is a different entry.
         let c = get_or_slice(prog_fp, sslice_fp, addr, || Slicer::Sslice.run(&bin.program, addr));
         assert!(c.num_nodes() >= a.num_nodes());
+    }
+
+    #[test]
+    fn program_fingerprint_is_pinned_fnv_of_the_image() {
+        // The program half of every persisted cache key and the wire
+        // `upload` fingerprint: a change here orphans persisted shards.
+        let bin = tiara_synth::generate(&tiara_synth::ProjectSpec {
+            name: "fp".into(),
+            index: 1,
+            seed: 5,
+            counts: tiara_synth::TypeCounts { vector: 2, map: 1, ..Default::default() },
+        });
+        let fp = program_fingerprint(&bin.program);
+        assert_eq!(fp, fnv1a64(FNV_OFFSET, &tiara_ir::assemble(&bin.program)));
+        assert_eq!(fp, 0xa89e_e496_8937_a360, "program fingerprint moved");
     }
 
     #[test]

@@ -51,6 +51,27 @@ impl GraphSample {
     pub fn num_nodes(&self) -> usize {
         self.features.rows()
     }
+
+    /// The graph collapsed to one node carrying the mean of the node
+    /// features, with no edges and the same label. A GCN over such graphs
+    /// is an edge-blind MLP: the mean adjacency of one isolated node is
+    /// `[1.0]` and the sum readout of one node is the identity, so two
+    /// layers compute `head·ReLU(W2·ReLU(W1·x̄))`. The rows are summed in
+    /// order and then divided by `max(n, 1)`; an empty graph pools to zeros.
+    pub fn mean_pooled(&self) -> GraphSample {
+        let mut pooled = Matrix::zeros(1, self.features.cols());
+        let row = pooled.row_mut(0);
+        for r in 0..self.num_nodes() {
+            for (d, s) in row.iter_mut().zip(self.features.row(r)) {
+                *d += s;
+            }
+        }
+        let n = self.num_nodes().max(1) as f32;
+        for d in row.iter_mut() {
+            *d /= n;
+        }
+        GraphSample { features: pooled, edges: Vec::new(), label: self.label }
+    }
 }
 
 /// How node representations are pooled over the in-neighborhood.
@@ -764,6 +785,66 @@ mod tests {
         refr.train_reference(&data);
         assert_eq!(refr.train_stats().batches, 6);
         assert_eq!(refr.train_stats().fused_kernel_calls, 0);
+    }
+
+    /// Two classes separable by mean features alone.
+    fn feature_separable(n: usize) -> Vec<GraphSample> {
+        let mut out = Vec::new();
+        for k in 0..n {
+            let bump = (k % 3) as f32 * 0.05;
+            let mut fa = Matrix::zeros(3, 4);
+            for r in 0..3 {
+                fa.set(r, 0, 1.0 + bump);
+            }
+            out.push(GraphSample::new(fa, &[(0, 1)], 0));
+            let mut fb = Matrix::zeros(2, 4);
+            for r in 0..2 {
+                fb.set(r, 2, 1.0 + bump);
+            }
+            out.push(GraphSample::new(fb, &[], 1));
+        }
+        out
+    }
+
+    #[test]
+    fn mean_pooled_is_one_edgeless_node_of_mean_features() {
+        let f = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -4.0], &[0.5, 0.0]]);
+        let p = GraphSample::new(f, &[(0, 1), (1, 2)], 3).mean_pooled();
+        assert_eq!((p.num_nodes(), p.edges.len(), p.label), (1, 0, 3));
+        assert_eq!(p.features.row(0), &[(1.0 + 3.0 + 0.5) / 3.0, (2.0 - 4.0 + 0.0) / 3.0]);
+        let empty = GraphSample::new(Matrix::zeros(0, 2), &[], 1).mean_pooled();
+        assert_eq!(empty.features.row(0), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn mean_pooled_learns_feature_separable_classes() {
+        let data: Vec<GraphSample> =
+            feature_separable(8).iter().map(GraphSample::mean_pooled).collect();
+        let mut gcn = Gcn::new(GcnConfig { seed: 5, ..toy_config(60) });
+        let stats = gcn.train(&data);
+        assert!(stats.last().unwrap().accuracy > 0.95);
+    }
+
+    #[test]
+    fn mean_pooled_is_blind_to_graph_structure() {
+        // Same mean features, different topology: pooled, the two classes
+        // are the same input, so even a trained model cannot tell them apart.
+        let feats = || {
+            let mut f = Matrix::zeros(3, 4);
+            for r in 0..3 {
+                f.set(r, 0, 1.0);
+            }
+            f
+        };
+        let chain = GraphSample::new(feats(), &[(0, 1), (1, 2)], 0);
+        let star = GraphSample::new(feats(), &[(0, 1), (0, 2)], 1);
+        assert_eq!(chain.mean_pooled().features, star.mean_pooled().features);
+        let data: Vec<GraphSample> =
+            (0..6).flat_map(|_| [chain.mean_pooled(), star.mean_pooled()]).collect();
+        let mut gcn = Gcn::new(GcnConfig { seed: 5, ..toy_config(60) });
+        let acc = gcn.train(&data).last().unwrap().accuracy;
+        assert!((acc - 0.5).abs() < 0.17, "an edge-blind model must hover at chance, got {acc}");
+        assert_eq!(proba_bits(&gcn, &data[..1]), proba_bits(&gcn, &data[1..2]));
     }
 
     #[test]

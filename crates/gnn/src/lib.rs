@@ -1,8 +1,13 @@
 //! # tiara-gnn
 //!
 //! A from-scratch graph neural network stack for the TIARA reproduction:
-//! dense/sparse matrices, a reverse-mode autodiff tape, the paper's
-//! 2×64 mean-pooling GCN (Section III-B2, eqs. 3–6), and the Adam optimizer.
+//! dense/sparse matrices, the paper's 2×64 mean-pooling GCN (Section
+//! III-B2, eqs. 3–6) on a batched block-diagonal engine, and the Adam
+//! optimizer. The same engine runs the edge-blind MLP baseline on graphs
+//! collapsed by [`GraphSample::mean_pooled`]. A reverse-mode autodiff tape
+//! remains as the readable oracle the engine is tested against
+//! ([`Gcn::train_reference`], [`Gcn::predict_proba_reference`]); nothing
+//! ships on it.
 //!
 //! The paper implements this stage on DGL + PyTorch with a Tesla P100; the
 //! graph-ML ecosystem being thin in Rust, this crate provides the minimal
@@ -33,7 +38,6 @@ mod csr;
 pub mod fused;
 mod gcn;
 mod matrix;
-mod mlp;
 mod source;
 mod tape;
 
@@ -42,6 +46,5 @@ pub use batch::TrainStats;
 pub use csr::Csr;
 pub use gcn::{Aggregation, EpochStats, Gcn, GcnConfig, GraphSample};
 pub use matrix::{argmax_slice, Matrix, KERNEL_INLINE_WORK};
-pub use mlp::{Mlp, MlpConfig};
 pub use source::F32Source;
 pub use tape::{ParamId, Tape, Var};

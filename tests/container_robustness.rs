@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use rand::{check, Rng};
-use tiara::{ClassifierConfig, Error, Tiara, TiaraConfig};
+use tiara::{ClassifierConfig, Dataset, Error, ModelKind, Slicer, Tiara, TiaraConfig};
 use tiara_container::{
     fnv1a64, kind, AlignedBytes, Reader, Writer, FNV_OFFSET, HEADER_LEN, TOC_ENTRY_LEN,
 };
@@ -271,6 +271,38 @@ fn default_model_bytes_and_digest_are_pinned() {
     assert_eq!(fnv1a64(FNV_OFFSET, bytes), 0x9e00_9dfa_976a_af13, "the .tc bytes moved");
     let t = Tiara::from_container_bytes(bytes).unwrap();
     assert_eq!(t.model_digest(), 0x175a_298a_f47e_52a1, "the model digest moved");
+}
+
+/// The edge-blind MLP baseline's `.tc` bytes, content digest and
+/// predicted probabilities, pinned so that any change to how the baseline
+/// trains, persists or predicts shows up bit for bit.
+#[test]
+fn mlp_model_bytes_and_digest_are_pinned() {
+    let bin = generate(&ProjectSpec {
+        name: "mlp".into(),
+        index: 1,
+        seed: 7,
+        counts: TypeCounts { list: 3, vector: 4, map: 3, primitive: 6, ..Default::default() },
+    });
+    let mut t = Tiara::new(TiaraConfig::new().with_classifier(ClassifierConfig {
+        model: ModelKind::Mlp,
+        epochs: 4,
+        batch_size: 4,
+        ..Default::default()
+    }));
+    t.train(&[("mlp", &bin.program, &bin.debug)]).unwrap();
+    let bytes = t.to_container_bytes();
+    let graphs = Dataset::from_binary(&bin.program, &bin.debug, "mlp", &Slicer::default()).graphs();
+    let proba = |t: &Tiara| {
+        let rows = t.classifier().predict_proba_batch(&graphs);
+        rows.iter().flatten().fold(FNV_OFFSET, |h, p| fnv1a64(h, &p.to_bits().to_le_bytes()))
+    };
+    let loaded = Tiara::from_container_bytes(&bytes).unwrap();
+    assert_eq!(fnv1a64(FNV_OFFSET, &bytes), 0x04a8_617d_f4cc_3dcc, "the MLP .tc bytes moved");
+    assert_eq!(t.model_digest(), 0xfabc_6745_0b3b_ae92, "the MLP model digest moved");
+    assert_eq!(loaded.model_digest(), t.model_digest(), "the loaded MLP digest differs");
+    assert_eq!(proba(&t), 0x3ba3_a661_0024_4549, "the MLP probabilities moved");
+    assert_eq!(proba(&loaded), proba(&t), "the loaded MLP predicts different bits");
 }
 
 /// `bytes` re-encoded with the byte `from_end` positions before the end of

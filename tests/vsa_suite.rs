@@ -105,3 +105,23 @@ fn discovery_experiment_reports_all_three_metrics_per_mode() {
         assert!(json.contains(key), "artifact is missing {key}");
     }
 }
+
+/// FNV-1a64 of the `tiara analyze --vsa` renderings (text, then JSON) over
+/// every binary of the benchmark suite and the discovery suite, in order.
+/// Pinned so that a change to the value-set representation can prove its
+/// output byte-identical.
+#[test]
+fn vsa_renderings_are_pinned() {
+    use tiara_container::{fnv1a64, FNV_OFFSET};
+    use tiara_dataflow::render_vsa_text;
+    let mut bins = tiara_eval::build_suite(1, 0.05);
+    bins.extend(tiara_eval::build_discovery_suite(42, 0.4));
+    let (mut text, mut json) = (FNV_OFFSET, FNV_OFFSET);
+    for bin in &bins {
+        let results = vsa_program(&bin.program);
+        text = fnv1a64(text, render_vsa_text(&bin.program, &results).as_bytes());
+        json = fnv1a64(json, render_vsa_json(&bin.program, &results).as_bytes());
+    }
+    assert_eq!(text, 0x935e_b991_c81b_27cb, "the text rendering moved");
+    assert_eq!(json, 0xcfc8_b56b_7b7e_e2d4, "the JSON rendering moved");
+}
