@@ -576,9 +576,10 @@ fn run() -> Result<(), CliError> {
             }
             eprintln!("tiara-serve drained and stopped");
             // On shutdown, write the (possibly grown) slice cache back into
-            // each model's container so the next process starts warm. Models
-            // loaded over the wire persist too; digest-deduped aliases (one
-            // entry per digest) are skipped.
+            // each model's container so the next process starts warm; each
+            // model keeps only its own slicer's entries. Models loaded over
+            // the wire persist too; digest-deduped aliases (one entry per
+            // digest) are skipped.
             if persist {
                 for entry in server.registry().entries() {
                     let Some(src) = entry.source().map(str::to_owned) else { continue };

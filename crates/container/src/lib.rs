@@ -342,12 +342,6 @@ impl Reader {
         Ok(Reader { bytes: Arc::new(bytes), uuid, version, toc })
     }
 
-    /// Reads and validates a container file.
-    pub fn from_file(path: &std::path::Path) -> std::result::Result<Reader, std::io::Error> {
-        let bytes = AlignedBytes::read_file(path)?;
-        Reader::new(bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// The container's content-derived UUID.
     pub fn uuid(&self) -> [u8; 16] {
         self.uuid

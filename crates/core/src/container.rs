@@ -156,10 +156,12 @@ impl<'a> Dec<'a> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Serializes a system to container bytes. With `with_cache`, a snapshot of
-/// the process-wide slice cache rides along as `CACHE_SHARD` sections.
+/// Serializes a system to container bytes. With `cache = Some(key)`, the
+/// process-wide slice cache's entries under slicer key `key` ride along as
+/// `CACHE_SHARD` sections and every other slicer's entries stay out; a
+/// system persists its own [`slice_cache::slicer_fingerprint`].
 /// Deterministic: same system + same cache contents → identical bytes.
-pub(crate) fn encode(slicer: &Slicer, classifier: &Classifier, with_cache: bool) -> Vec<u8> {
+pub(crate) fn encode(slicer: &Slicer, classifier: &Classifier, cache: Option<u64>) -> Vec<u8> {
     let mut w = Writer::new();
     w.add_section(kind::MODEL_CONFIG, 0, encode_model_config(classifier));
     w.add_section(kind::SLICER_CONFIG, 0, encode_slicer(slicer));
@@ -167,10 +169,11 @@ pub(crate) fn encode(slicer: &Slicer, classifier: &Classifier, with_cache: bool)
     for (i, m) in model_weights(classifier).enumerate() {
         w.add_section(kind::WEIGHT_F32, i as u32, encode_matrix(m));
     }
-    if with_cache {
-        for (shard, entries) in slice_cache::snapshot().iter().enumerate() {
+    if let Some(key) = cache {
+        for (shard, mut entries) in slice_cache::snapshot().into_iter().enumerate() {
+            entries.retain(|e| e.1 == key);
             if !entries.is_empty() {
-                w.add_section(kind::CACHE_SHARD, shard as u32, encode_cache_shard(entries));
+                w.add_section(kind::CACHE_SHARD, shard as u32, encode_cache_shard(&entries));
             }
         }
     }
@@ -654,7 +657,7 @@ mod tests {
     fn gcn_round_trips_bitwise_and_zero_copy() {
         let gcn = toy_gcn(5);
         let clf = Classifier::from_gcn(gcn, ModelKind::Gcn, true);
-        let bytes = encode(&Slicer::default(), &clf, false);
+        let bytes = encode(&Slicer::default(), &clf, None);
         let decoded = decode(&read(&bytes)).unwrap();
         assert!(decoded.classifier.is_trained());
         assert!(matches!(decoded.slicer, Slicer::Tslice(_)));
@@ -700,7 +703,7 @@ mod tests {
             ..Default::default()
         });
         clf.train(&ds).unwrap();
-        let bytes = encode(&Slicer::Sslice, &clf, false);
+        let bytes = encode(&Slicer::Sslice, &clf, None);
         assert_eq!(read(&bytes).section(kind::MODEL_CONFIG, 0).unwrap()[0], 1, "MLP kind byte");
         let decoded = decode(&read(&bytes)).unwrap();
         assert!(matches!(decoded.slicer, Slicer::Sslice));
@@ -725,7 +728,7 @@ mod tests {
             ..TsliceConfig::default()
         });
         let clf = Classifier::from_gcn(toy_gcn(1), ModelKind::Gcn, true);
-        let bytes = encode(&slicer, &clf, false);
+        let bytes = encode(&slicer, &clf, None);
         let decoded = decode(&read(&bytes)).unwrap();
         assert_eq!(format!("{slicer:?}"), format!("{:?}", decoded.slicer));
     }
@@ -733,8 +736,8 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let clf = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
-        let a = encode(&Slicer::default(), &clf, false);
-        let b = encode(&Slicer::default(), &clf, false);
+        let a = encode(&Slicer::default(), &clf, None);
+        let b = encode(&Slicer::default(), &clf, None);
         assert_eq!(a, b);
     }
 
@@ -794,7 +797,7 @@ mod tests {
     #[test]
     fn mismatched_weight_shape_is_a_persistence_error() {
         let clf = Classifier::from_gcn(toy_gcn(1), ModelKind::Gcn, true);
-        let bytes = encode(&Slicer::default(), &clf, false);
+        let bytes = encode(&Slicer::default(), &clf, None);
         let reader = read(&bytes);
         // Re-assemble the container with the head section swapped for conv 0:
         // shapes no longer match the config, and decode must say so politely.
@@ -818,7 +821,7 @@ mod tests {
         // Older writers set the has_quant byte and added tag-5 sections;
         // such files still load and serve their f32 weights.
         let clf = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
-        let reader = read(&encode(&Slicer::default(), &clf, false));
+        let reader = read(&encode(&Slicer::default(), &clf, None));
         let mut w = Writer::new();
         for e in reader.toc() {
             let mut payload = reader.section(e.kind, e.index).unwrap().to_vec();
@@ -837,7 +840,7 @@ mod tests {
         let a = Classifier::from_gcn(toy_gcn(2), ModelKind::Gcn, true);
         let b = Classifier::from_gcn(toy_gcn(3), ModelKind::Gcn, true);
         assert_ne!(model_digest(&a), model_digest(&b));
-        let bytes = encode(&Slicer::default(), &a, false);
+        let bytes = encode(&Slicer::default(), &a, None);
         let mapped = decode(&read(&bytes)).unwrap().classifier;
         assert!(mapped.mapped_weight_bytes() > 0);
         assert_eq!(model_digest(&a), model_digest(&mapped), "owned and mapped digests agree");

@@ -326,14 +326,15 @@ impl Tiara {
     /// with the weight matrices laid out for zero-copy loading.
     /// Deterministic — two calls on the same system produce identical bytes.
     pub fn to_container_bytes(&self) -> Vec<u8> {
-        container::encode(&self.slicer, &self.classifier, false)
+        container::encode(&self.slicer, &self.classifier, None)
     }
 
     /// Like [`Tiara::to_container_bytes`], plus `CACHE_SHARD` sections
-    /// snapshotting the process-wide [`slice_cache`], so the next process
-    /// starts with a warm cache.
+    /// snapshotting this system's slicer's entries of the process-wide
+    /// [`slice_cache`], so the next process starts with a warm cache.
     pub fn to_container_bytes_with_cache(&self) -> Vec<u8> {
-        container::encode(&self.slicer, &self.classifier, true)
+        let key = slice_cache::slicer_fingerprint(&self.slicer);
+        container::encode(&self.slicer, &self.classifier, Some(key))
     }
 
     /// Reconstructs a system from a validated container [`Reader`]. Weight
@@ -391,7 +392,7 @@ impl Tiara {
         std::fs::write(path, self.to_container_bytes()).map_err(Error::from)
     }
 
-    /// [`Tiara::save`] plus the current slice-cache contents (see
+    /// [`Tiara::save`] plus this system's slicer's slice-cache entries (see
     /// [`Tiara::to_container_bytes_with_cache`]).
     ///
     /// # Errors
@@ -642,6 +643,51 @@ mod tests {
         slice_cache::clear();
     }
 
+    #[test]
+    fn cache_persistence_keeps_only_the_models_own_slicer() {
+        use tiara_slice::TsliceConfig;
+        let _guard = crate::slice_cache::test_lock();
+        // A TSLICE configuration and a program no other test slices, so
+        // tests running concurrently cannot add entries under either key.
+        let tslice = Slicer::Tslice(TsliceConfig { decay_default: 0.002, ..Default::default() });
+        let bin = generate(&ProjectSpec {
+            name: "own-slicer".into(),
+            index: 2,
+            seed: 8_111,
+            counts: TypeCounts { list: 3, vector: 3, map: 3, primitive: 8, ..Default::default() },
+        });
+        let mut tiara =
+            Tiara::new(TiaraConfig::new().with_slicer(tslice).with_classifier(ClassifierConfig {
+                epochs: 1,
+                batch_size: 8,
+                ..Default::default()
+            }));
+        tiara.train(&[("own-slicer", &bin.program, &bin.debug)]).unwrap();
+        let addrs: Vec<_> = bin.labeled_vars().map(|(a, _)| a).collect();
+        let prog_fp = slice_cache::program_fingerprint(&bin.program);
+        let fps = [tiara.slicer(), &Slicer::Sslice].map(slice_cache::slicer_fingerprint);
+        slice_cache::clear();
+        for (fp, slicer) in fps.iter().zip([tiara.slicer(), &Slicer::Sslice]) {
+            for &addr in &addrs {
+                slice_cache::get_or_slice(prog_fp, *fp, addr, || slicer.run(&bin.program, addr));
+            }
+        }
+        assert!(slice_cache::stats().entries >= 2 * addrs.len());
+        let bytes = tiara.to_container_bytes_with_cache();
+        slice_cache::clear();
+        let back = Tiara::from_container_bytes(&bytes).unwrap();
+        assert_eq!(back.restored_cache_entries(), addrs.len(), "only the TSLICE entries persist");
+        let mut sliced = 0;
+        for &addr in &addrs {
+            slice_cache::get_or_slice(prog_fp, fps[1], addr, || {
+                sliced += 1;
+                Slicer::Sslice.run(&bin.program, addr)
+            });
+        }
+        assert_eq!(sliced, addrs.len(), "no SSLICE entry rode along");
+        slice_cache::clear();
+    }
+
     /// Persists a cache shard whose entries are keyed by
     /// `foreign(program, key)`, where `key` is this build's (program key,
     /// default slicer key) pair, and checks that the shard loads cleanly and
@@ -675,7 +721,7 @@ mod tests {
                 tiara.slicer().run(&bin.program, addr)
             });
         }
-        let bytes = tiara.to_container_bytes_with_cache();
+        let bytes = container::encode(&tiara.slicer, &tiara.classifier, Some(foreign_slicer));
         slice_cache::clear();
         let back = Tiara::from_container_bytes(&bytes).expect("foreign keys are not an error");
         assert!(back.restored_cache_entries() >= addrs.len());

@@ -6,15 +6,12 @@
 //! (a function of the program, the slicer configuration, and the criterion
 //! address), so repeated work is cached here. The cache is sharded over
 //! several mutex-guarded maps so that parallel slicing workers rarely
-//! contend on the same lock.
-//!
-//! The cache is enabled by default; benchmarks that want to *measure*
-//! slicing throughput should call [`set_enabled`]`(false)` (or [`clear`])
-//! around the measured region.
+//! contend on the same lock. Benchmarks that want to *measure* slicing
+//! throughput call [`clear`] before the measured region.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use tiara_container::{fnv1a64, FNV_OFFSET};
 use tiara_ir::{Program, VarAddr};
@@ -32,7 +29,6 @@ struct CacheInner {
     shards: Vec<Mutex<HashMap<Key, Arc<Slice>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 fn cache() -> &'static CacheInner {
@@ -41,7 +37,6 @@ fn cache() -> &'static CacheInner {
         shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
-        enabled: AtomicBool::new(true),
     })
 }
 
@@ -98,16 +93,11 @@ fn shard_of(key: &Key) -> usize {
 
 /// Returns the cached slice for `(program_fp, slicer_fp, addr)`, running
 /// `compute` and storing the result on a miss.
-///
-/// When the cache is disabled, `compute` always runs and nothing is stored.
 pub fn get_or_slice<F>(program_fp: u64, slicer_fp: u64, addr: VarAddr, compute: F) -> Arc<Slice>
 where
     F: FnOnce() -> Slice,
 {
     let c = cache();
-    if !c.enabled.load(Ordering::Relaxed) {
-        return Arc::new(compute());
-    }
     let key = (program_fp, slicer_fp, addr);
     let shard = &c.shards[shard_of(&key)];
     if let Some(hit) = shard.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned() {
@@ -145,12 +135,6 @@ pub fn clear() {
     }
     c.hits.store(0, Ordering::Relaxed);
     c.misses.store(0, Ordering::Relaxed);
-}
-
-/// Turns the cache on or off process-wide (on by default). Disabling does
-/// not drop existing entries; pair with [`clear`] for measurements.
-pub fn set_enabled(enabled: bool) {
-    cache().enabled.store(enabled, Ordering::Relaxed);
 }
 
 /// One persistable cache entry: the key triple plus the computed slice.
@@ -210,10 +194,9 @@ pub(crate) fn default_hasher_program_key(prog: &Program) -> u64 {
     h.finish()
 }
 
-/// Serializes tests (here and in [`crate::pipeline`]) that clear the cache,
-/// toggle [`set_enabled`], or assert on the global counters. Other core
-/// tests use the cache too, but only ever with it enabled, which every
-/// assertion under this lock tolerates.
+/// Serializes tests (here and in [`crate::pipeline`]) that clear the cache
+/// or assert on the global counters. Other core tests use the cache too,
+/// but only add entries, which every assertion under this lock tolerates.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -302,39 +285,6 @@ mod tests {
             assert!(!seen.contains(&fp), "{slicer:?} shares a fingerprint");
             seen.push(fp);
         }
-    }
-
-    #[test]
-    fn disabled_cache_always_computes_and_stores_nothing() {
-        let _guard = test_lock();
-        // A key no real program can produce (fingerprints are hashes of
-        // nonempty images), so concurrent tests never collide with it.
-        let addr = VarAddr::Stack { func: FuncId(u32::MAX), offset: -9999 };
-        let mut runs = 0;
-        set_enabled(false);
-        for _ in 0..2 {
-            let _ = get_or_slice(1, 2, addr, || {
-                runs += 1;
-                empty_slice(addr)
-            });
-        }
-        set_enabled(true);
-        assert_eq!(runs, 2, "a disabled cache computes every time");
-        // Nothing was stored while disabled: the next enabled lookup misses.
-        let _ = get_or_slice(1, 2, addr, || {
-            runs += 1;
-            empty_slice(addr)
-        });
-        assert_eq!(runs, 3);
-        // ... and now it is cached.
-        let _ = get_or_slice(1, 2, addr, || panic!("must be cached"));
-        // `clear` drops it again.
-        clear();
-        let _ = get_or_slice(1, 2, addr, || {
-            runs += 1;
-            empty_slice(addr)
-        });
-        assert_eq!(runs, 4, "clear drops entries");
     }
 
     #[test]

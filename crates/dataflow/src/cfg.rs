@@ -6,9 +6,7 @@
 //! wants *basic blocks* — maximal straight-line runs — so the worklist can
 //! amortize transfer functions over whole blocks and so per-block facts stay
 //! small. [`BlockCfg::intra`] builds the per-function block graph over the
-//! flow relation; [`BlockCfg::inter`] builds the whole-program block graph
-//! over the paper's CFG (call edges enter callees, `ret` edges return to the
-//! call sites), which is what the inter-procedural solver mode runs on.
+//! flow relation, where a call falls through to its return site.
 
 use tiara_ir::{FuncId, InstId, InstKind, Opcode, Program};
 
@@ -66,17 +64,13 @@ pub struct BlockCfg {
     block_of: Vec<u32>,
 }
 
-/// Whether an instruction ends a basic block under the given edge relation.
-fn ends_block(prog: &Program, id: InstId, interproc: bool) -> bool {
+/// Whether an instruction ends a basic block. The flow relation falls
+/// through a call, so a call can sit mid-block.
+fn ends_block(prog: &Program, id: InstId) -> bool {
     let inst = prog.inst(id);
-    match inst.kind {
-        InstKind::Ret => true,
-        // In the whole-program CFG a call's successor is the callee entry,
-        // so the call must terminate its block; intra-procedurally the flow
-        // relation falls through and the call can sit mid-block.
-        InstKind::Call { .. } => interproc,
-        _ => inst.opcode == Opcode::Jmp || inst.opcode.is_conditional_jump(),
-    }
+    matches!(inst.kind, InstKind::Ret)
+        || inst.opcode == Opcode::Jmp
+        || inst.opcode.is_conditional_jump()
 }
 
 impl BlockCfg {
@@ -86,28 +80,9 @@ impl BlockCfg {
         let f = prog.func(func);
         let start = f.entry().0;
         let end = start + f.len() as u32; // exclusive
-        Self::build(
-            prog,
-            start,
-            end,
-            &[f.entry()],
-            |id| prog.flow_succs(id).iter().copied().filter(|s| f.contains(*s)).collect(),
-            false,
-        )
-    }
-
-    /// Builds the whole-program block graph over the paper's single CFG
-    /// (`cfg_succs`: calls enter callees, `ret` returns to call sites).
-    pub fn inter(prog: &Program) -> BlockCfg {
-        let entries: Vec<InstId> = prog.funcs().iter().map(|f| f.entry()).collect();
-        Self::build(
-            prog,
-            0,
-            prog.num_insts() as u32,
-            &entries,
-            |id| prog.cfg_succs(id).to_vec(),
-            true,
-        )
+        Self::build(prog, start, end, &[f.entry()], |id| {
+            prog.flow_succs(id).iter().copied().filter(|s| f.contains(*s)).collect()
+        })
     }
 
     fn build(
@@ -116,7 +91,6 @@ impl BlockCfg {
         end: u32,
         entries: &[InstId],
         succs_of: impl Fn(InstId) -> Vec<InstId>,
-        interproc: bool,
     ) -> BlockCfg {
         let n = (end - start) as usize;
         let mut leader = vec![false; n];
@@ -125,7 +99,7 @@ impl BlockCfg {
         }
         for i in start..end {
             let id = InstId(i);
-            if ends_block(prog, id, interproc) && i + 1 < end {
+            if ends_block(prog, id) && i + 1 < end {
                 leader[(i + 1 - start) as usize] = true;
             }
             for s in succs_of(id) {
@@ -152,7 +126,7 @@ impl BlockCfg {
             let mut bend = i;
             while bend + 1 < end
                 && !leader[(bend + 1 - start) as usize]
-                && !ends_block(prog, InstId(bend), interproc)
+                && !ends_block(prog, InstId(bend))
             {
                 bend += 1;
             }
@@ -264,31 +238,6 @@ mod tests {
         assert_eq!(b2.preds.len(), 2);
         assert_eq!(cfg.block_of(InstId(4)), BlockId(2));
         assert_eq!(cfg.entries(), &[BlockId(0)]);
-    }
-
-    #[test]
-    fn inter_blocks_split_at_calls() {
-        let mut b = ProgramBuilder::new();
-        b.begin_func("main");
-        b.call_named("g");
-        b.inst(Opcode::Mov, InstKind::Mov { dst: Operand::reg(Reg::Eax), src: Operand::imm(1) });
-        b.ret();
-        b.end_func();
-        b.begin_func("g");
-        b.inst(Opcode::Mov, InstKind::Mov { dst: Operand::reg(Reg::Ecx), src: Operand::imm(2) });
-        b.ret();
-        b.end_func();
-        let p = b.finish().unwrap();
-
-        let cfg = BlockCfg::inter(&p);
-        // main: [call] [mov ret]; g: [mov ret]
-        assert_eq!(cfg.num_blocks(), 3);
-        let call_block = cfg.block_of(InstId(0));
-        let g_entry = cfg.block_of(InstId(3));
-        assert_eq!(cfg.block(call_block).succs, vec![g_entry]);
-        // g's ret flows back to main's return site.
-        let ret_block = cfg.block_of(InstId(4));
-        assert_eq!(cfg.block(ret_block).succs, vec![cfg.block_of(InstId(1))]);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl ConstFact {
         self.flags
     }
 
-    /// Number of registers provably holding a constant.
-    pub fn num_const(&self) -> usize {
-        self.regs.iter().filter(|v| matches!(v, CVal::Const(_))).count()
-    }
-
     fn eval(&self, o: Operand) -> CVal {
         match o {
             Operand::Imm(c) => CVal::Const(c),

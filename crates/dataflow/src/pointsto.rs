@@ -83,17 +83,6 @@ impl PointsTo {
         &self.arg_cell
     }
 
-    /// Number of distinct abstract objects the function manipulates
-    /// addresses of.
-    pub fn num_objects(&self) -> usize {
-        let mut all: BTreeSet<AbsLoc> = BTreeSet::new();
-        for s in self.regs.iter().chain(self.cells.values()) {
-            all.extend(s.iter().copied());
-        }
-        all.extend(self.cells.keys().copied());
-        all.len()
-    }
-
     /// `true` when `a` and `b` are observed to share a may-target.
     pub fn may_alias(&self, a: Reg, b: Reg) -> bool {
         self.regs[a.index()].intersection(&self.regs[b.index()]).next().is_some()

@@ -1,8 +1,8 @@
 //! Shared register def/use extraction — the one place that knows which
 //! registers an instruction reads and writes.
 //!
-//! Modeling choices (shared with the verifier's def-before-use pass so that
-//! every consumer agrees on the machine model):
+//! Modeling choices (every consumer, the verifier's def-before-use pass
+//! included, reads them from here, so all agree on the machine model):
 //!
 //! * `xor r, r` / `sub r, r` zero idioms define `r` without reading it;
 //! * calls clobber (define) the x86 caller-saved set `eax`, `ecx`, `edx`

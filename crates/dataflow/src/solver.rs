@@ -6,11 +6,10 @@
 //! [`BlockCfg`] to the least fixpoint and then materializes per-instruction
 //! facts by replaying each block once.
 //!
-//! The same engine runs forward and backward, intra-procedurally (one
-//! function over the flow relation) and inter-procedurally (the paper's
-//! whole-program CFG, where call edges enter callees and `ret` edges return
-//! to every call site — context-insensitive). Facts at blocks never reached
-//! from the boundary stay ⊥, which is how reachability under the edge
+//! The same engine runs forward and backward over one function's flow
+//! relation; inter-procedural facts come from the bottom-up summaries of
+//! [`crate::escape`] instead. Facts at blocks never reached from the
+//! boundary stay ⊥, which is how reachability under the edge
 //! filter falls out of the solve (used by constant propagation to prune
 //! provably-untaken branches).
 //!
@@ -120,11 +119,6 @@ impl<F: Lattice> Solution<F> {
 /// Solves `analysis` intra-procedurally over one function.
 pub fn solve<T: Transfer>(prog: &Program, func: FuncId, analysis: &T) -> Solution<T::Fact> {
     solve_on(prog, BlockCfg::intra(prog, func), analysis)
-}
-
-/// Solves `analysis` inter-procedurally over the whole-program CFG.
-pub fn solve_program<T: Transfer>(prog: &Program, analysis: &T) -> Solution<T::Fact> {
-    solve_on(prog, BlockCfg::inter(prog), analysis)
 }
 
 /// Solves over an explicit block graph (exposed so callers can reuse one

@@ -3,9 +3,8 @@
 //! [`analyze_function`] runs all four analyses over one function and distils
 //! their solutions into a [`FunctionFacts`] record; [`render_text`] and
 //! [`render_json`] turn a batch of records into the CLI's two output
-//! formats. The JSON is hand-assembled (the crate deliberately depends on
-//! nothing but `tiara-ir`), with the field layout documented on
-//! [`render_json`].
+//! formats. The JSON is a [`tiara_json::Value`] rendered compact, with the
+//! field layout documented on [`render_json`].
 
 use crate::constprop::{const_conditions, CVal, Constprop};
 use crate::liveness::Liveness;
@@ -14,7 +13,7 @@ use crate::reaching::{def_use_chains, ReachingDefs};
 use crate::regs::{reg_effects, RegSet};
 use crate::solver::solve;
 use tiara_ir::{FuncId, InstId, InstKind, Program, Reg};
-use tiara_json::render_string;
+use tiara_json::Value;
 
 /// The distilled dataflow facts of one function.
 #[derive(Debug, Clone)]
@@ -187,15 +186,12 @@ pub fn render_text(facts: &[FunctionFacts]) -> String {
     out
 }
 
-fn json_ids(ids: &[InstId], out: &mut String) {
-    out.push('[');
-    for (k, id) in ids.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&id.0.to_string());
-    }
-    out.push(']');
+fn ids(ids: &[InstId]) -> Value {
+    Value::Array(ids.iter().map(|id| Value::Int(id.0.into())).collect())
+}
+
+fn names<T: ToString>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::Array(items.into_iter().map(|x| Value::Str(x.to_string())).collect())
 }
 
 /// Renders a batch of summaries as a JSON array.
@@ -206,59 +202,51 @@ fn json_ids(ids: &[InstId], out: &mut String) {
 /// "constprop": {"const_points", "const_branches": [{"inst", "taken"}],
 /// "unreached"}, "pointsto": {"objects", "alias_pairs": [[a, b]]}}`.
 pub fn render_json(facts: &[FunctionFacts]) -> String {
-    let mut out = String::from("[");
-    for (k, f) in facts.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"function\":");
-        render_string(&f.name, &mut out);
-        out.push_str(&format!(",\"insts\":{},\"blocks\":{}", f.num_insts, f.num_blocks));
-        out.push_str(",\"liveness\":{\"entry_live\":[");
-        for (i, r) in f.entry_live.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_string(&r.to_string(), &mut out);
-        }
-        out.push_str(&format!("],\"max_live\":{},\"dead_writes\":", f.max_live));
-        json_ids(&f.dead_writes, &mut out);
-        out.push_str(&format!(
-            "}},\"reaching\":{{\"def_use_edges\":{},\"multi_def_uses\":{}}}",
-            f.def_use_edges, f.multi_def_uses
-        ));
-        out.push_str(&format!(",\"constprop\":{{\"const_points\":{}", f.const_points));
-        out.push_str(",\"const_branches\":[");
-        for (i, (inst, taken)) in f.const_branches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"inst\":{},\"taken\":{}}}", inst.0, taken));
-        }
-        out.push_str("],\"unreached\":");
-        json_ids(&f.unreached, &mut out);
-        out.push_str("},\"pointsto\":{\"objects\":[");
-        for (i, o) in f.objects.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_string(o, &mut out);
-        }
-        out.push_str("],\"alias_pairs\":[");
-        for (i, (a, b)) in f.alias_pairs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            render_string(&a.to_string(), &mut out);
-            out.push(',');
-            render_string(&b.to_string(), &mut out);
-            out.push(']');
-        }
-        out.push_str("]}}");
-    }
-    out.push(']');
-    out
+    let int = |n: usize| Value::Int(n as i64);
+    let doc = facts.iter().map(|f| {
+        let branches = f.const_branches.iter().map(|&(inst, taken)| {
+            Value::obj([("inst", Value::Int(inst.0.into())), ("taken", Value::Bool(taken))])
+        });
+        Value::obj([
+            ("function", Value::Str(f.name.clone())),
+            ("insts", int(f.num_insts)),
+            ("blocks", int(f.num_blocks)),
+            (
+                "liveness",
+                Value::obj([
+                    ("entry_live", names(f.entry_live.iter())),
+                    ("max_live", int(f.max_live)),
+                    ("dead_writes", ids(&f.dead_writes)),
+                ]),
+            ),
+            (
+                "reaching",
+                Value::obj([
+                    ("def_use_edges", int(f.def_use_edges)),
+                    ("multi_def_uses", int(f.multi_def_uses)),
+                ]),
+            ),
+            (
+                "constprop",
+                Value::obj([
+                    ("const_points", int(f.const_points)),
+                    ("const_branches", Value::Array(branches.collect())),
+                    ("unreached", ids(&f.unreached)),
+                ]),
+            ),
+            (
+                "pointsto",
+                Value::obj([
+                    ("objects", names(&f.objects)),
+                    (
+                        "alias_pairs",
+                        Value::Array(f.alias_pairs.iter().map(|(a, b)| names([a, b])).collect()),
+                    ),
+                ]),
+            ),
+        ])
+    });
+    Value::Array(doc.collect()).render()
 }
 
 fn mask_bits(mask: u8) -> Vec<usize> {
@@ -325,31 +313,13 @@ pub fn render_interproc_text(sums: &crate::escape::ProgramSummaries) -> String {
     out
 }
 
-fn json_globals(g: &crate::escape::GlobalsEffect, out: &mut String) {
+fn globals(g: &crate::escape::GlobalsEffect) -> Value {
     match g {
-        crate::escape::GlobalsEffect::Top => out.push_str("\"top\""),
+        crate::escape::GlobalsEffect::Top => Value::Str("top".to_owned()),
         crate::escape::GlobalsEffect::Set(s) => {
-            out.push('[');
-            for (k, m) in s.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&m.0.to_string());
-            }
-            out.push(']');
+            Value::Array(s.iter().map(|m| Value::Int(m.0 as i64)).collect())
         }
     }
-}
-
-fn json_offsets(slots: &std::collections::BTreeSet<i64>, out: &mut String) {
-    out.push('[');
-    for (k, o) in slots.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&o.to_string());
-    }
-    out.push(']');
 }
 
 /// Renders the inter-procedural summaries as a JSON array.
@@ -361,61 +331,37 @@ fn json_offsets(slots: &std::collections::BTreeSet<i64>, out: &mut String) {
 /// with register sets as name arrays, argument masks as index arrays, and
 /// global effects as either an address array or the string `"top"`.
 pub fn render_interproc_json(sums: &crate::escape::ProgramSummaries) -> String {
-    let mut out = String::from("[");
-    for (k, s) in sums.all().iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"function\":");
-        render_string(&s.name, &mut out);
-        out.push_str(",\"interproc\":{\"clobbered\":[");
-        for (i, r) in s.clobbered.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_string(&r.to_string(), &mut out);
-        }
-        out.push_str("],\"reads\":[");
-        for (i, r) in s.reads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_string(&r.to_string(), &mut out);
-        }
-        out.push_str("],\"arg_reads\":[");
-        for (i, a) in mask_bits(s.arg_reads).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&a.to_string());
-        }
-        out.push_str("],\"arg_writes\":[");
-        for (i, a) in mask_bits(s.arg_writes).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&a.to_string());
-        }
-        out.push_str(&format!(
-            "],\"reads_arg_mem\":{},\"writes_arg_mem\":{}",
-            s.reads_arg_mem, s.writes_arg_mem
-        ));
-        out.push_str(",\"globals_read\":");
-        json_globals(&s.globals_read, &mut out);
-        out.push_str(",\"globals_written\":");
-        json_globals(&s.globals_written, &mut out);
-        out.push_str(&format!(
-            ",\"allocates\":{},\"frees\":{},\"preserves_frame\":{},\"has_unknown_callee\":{}",
-            s.allocates, s.frees, s.preserves_frame, s.has_unknown_callee
-        ));
-        out.push_str(",\"address_taken\":");
-        json_offsets(&s.address_taken, &mut out);
-        out.push_str(",\"escaped\":");
-        json_offsets(&s.escaped, &mut out);
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
+    let args = |mask: u8| {
+        Value::Array(mask_bits(mask).into_iter().map(|a| Value::Int(a as i64)).collect())
+    };
+    let offsets = |slots: &std::collections::BTreeSet<i64>| {
+        Value::Array(slots.iter().map(|&o| Value::Int(o)).collect())
+    };
+    let doc = sums.all().iter().map(|s| {
+        Value::obj([
+            ("function", Value::Str(s.name.clone())),
+            (
+                "interproc",
+                Value::obj([
+                    ("clobbered", names(s.clobbered.iter())),
+                    ("reads", names(s.reads.iter())),
+                    ("arg_reads", args(s.arg_reads)),
+                    ("arg_writes", args(s.arg_writes)),
+                    ("reads_arg_mem", Value::Bool(s.reads_arg_mem)),
+                    ("writes_arg_mem", Value::Bool(s.writes_arg_mem)),
+                    ("globals_read", globals(&s.globals_read)),
+                    ("globals_written", globals(&s.globals_written)),
+                    ("allocates", Value::Bool(s.allocates)),
+                    ("frees", Value::Bool(s.frees)),
+                    ("preserves_frame", Value::Bool(s.preserves_frame)),
+                    ("has_unknown_callee", Value::Bool(s.has_unknown_callee)),
+                    ("address_taken", offsets(&s.address_taken)),
+                    ("escaped", offsets(&s.escaped)),
+                ]),
+            ),
+        ])
+    });
+    Value::Array(doc.collect()).render()
 }
 
 #[cfg(test)]
@@ -453,16 +399,12 @@ mod tests {
     fn json_is_well_formed_and_mentions_every_fact_kind() {
         let p = tiny_program();
         let json = render_json(&analyze_program(&p));
-        for key in
-            ["\"function\":", "\"liveness\":", "\"reaching\":", "\"constprop\":", "\"pointsto\":"]
-        {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let doc = tiara_json::parse(&json).unwrap();
+        let f = &doc.as_array().unwrap()[0];
+        assert_eq!(f.get("function").and_then(Value::as_str), Some("main"), "{json}");
+        for key in ["liveness", "reaching", "constprop", "pointsto"] {
+            assert!(matches!(f.get(key), Some(Value::Object(_))), "missing {key} in {json}");
         }
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        // Balanced braces (no nested strings contain braces here).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
     }
 
     #[test]
@@ -482,16 +424,12 @@ mod tests {
         assert!(text.contains("fn main"));
         assert!(text.contains("mod-ref:"));
         let json = render_interproc_json(&sums);
-        for key in [
-            "\"interproc\":",
-            "\"clobbered\":",
-            "\"arg_reads\":",
-            "\"globals_written\":",
-            "\"escaped\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let doc = tiara_json::parse(&json).unwrap();
+        let f = &doc.as_array().unwrap()[0];
+        assert_eq!(f.get("function").and_then(Value::as_str), Some("main"), "{json}");
+        let interproc = f.get("interproc").unwrap();
+        for key in ["clobbered", "arg_reads", "globals_written", "escaped"] {
+            assert!(interproc.get(key).is_some(), "missing {key} in {json}");
         }
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -35,6 +35,7 @@
 use crate::solver::{solve, Direction, Lattice, Solution, Transfer};
 use std::collections::BTreeMap;
 use tiara_ir::{Addr, BinOp, FuncId, InstId, InstKind, Loc, Operand, Program, Reg};
+use tiara_json::Value;
 
 #[cfg(test)]
 use tiara_ir::Opcode;
@@ -454,19 +455,9 @@ impl VsaFact {
         VsaFact { live: true, regs, frame: BTreeMap::new(), ascent: 0 }
     }
 
-    /// `true` once any path has reached this point.
-    pub fn is_live(&self) -> bool {
-        self.live
-    }
-
     /// The value set of `r` at this point.
     pub fn reg(&self, r: Reg) -> &Vsv {
         &self.regs[r.index()]
-    }
-
-    /// The tracked frame slots (entry-`esp`-relative offsets).
-    pub fn frame_slots(&self) -> &BTreeMap<i64, Vsv> {
-        &self.frame
     }
 
     /// The abstract *address* a location denotes at this point.
@@ -870,42 +861,37 @@ pub fn render_vsa_text(prog: &Program, results: &[VsaResult]) -> String {
     s
 }
 
-/// Renders the VSA results as the `tiara analyze --vsa --json` document.
+/// Renders the VSA results as the `tiara analyze --vsa --json` document: an
+/// array with one object per function, holding its frame mode, memory-access
+/// totals and the operands whose address is computed.
 pub fn render_vsa_json(prog: &Program, results: &[VsaResult]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("[");
-    for (i, res) in results.iter().enumerate() {
-        let f = prog.func(res.func);
+    let doc = results.iter().map(|res| {
         let ops = res.mem_ops(prog);
         let t = totals(res.func, &ops);
-        let _ = write!(
-            s,
-            "{}\n  {{\"func\": {}, \"frame_mode\": \"{:?}\", \"mem_ops\": {}, \
-             \"global\": {}, \"frame\": {}, \"heap\": {}, \"top\": {}, \"computed\": [",
-            if i == 0 { "" } else { "," },
-            tiara_json::quote(&f.name),
-            tiara_ir::detect_frame_mode(prog, res.func),
-            ops.len(),
-            t.global,
-            t.frame,
-            t.heap,
-            t.top
-        );
-        for (j, op) in ops.iter().filter(|o| is_computed(o)).enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"inst\": {}, \"write\": {}, \"operand\": {}, \"addr\": \"{}\"}}",
-                if j == 0 { "" } else { ", " },
-                op.inst.0,
-                op.is_write,
-                tiara_json::quote(&op.opr.to_string()),
-                op.addr
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str("\n]\n");
-    s
+        let computed = ops.iter().filter(|o| is_computed(o)).map(|op| {
+            Value::obj([
+                ("inst", Value::Int(op.inst.0.into())),
+                ("write", Value::Bool(op.is_write)),
+                ("operand", Value::Str(op.opr.to_string())),
+                ("addr", Value::Str(op.addr.to_string())),
+            ])
+        });
+        let int = |n: usize| Value::Int(n as i64);
+        Value::obj([
+            ("func", Value::Str(prog.func(res.func).name.clone())),
+            (
+                "frame_mode",
+                Value::Str(format!("{:?}", tiara_ir::detect_frame_mode(prog, res.func))),
+            ),
+            ("mem_ops", int(ops.len())),
+            ("global", int(t.global)),
+            ("frame", int(t.frame)),
+            ("heap", int(t.heap)),
+            ("top", int(t.top)),
+            ("computed", Value::Array(computed.collect())),
+        ])
+    });
+    Value::Array(doc.collect()).render()
 }
 
 #[cfg(test)]
@@ -1105,8 +1091,12 @@ mod tests {
         assert!(text.contains("fn f"), "{text}");
         assert!(text.contains("write"), "{text}");
         let json = render_vsa_json(&p, &results);
-        assert!(json.contains("\"computed\": ["), "{json}");
-        assert!(json.trim_start().starts_with('[') && json.trim_end().ends_with(']'));
+        let doc = tiara_json::parse(&json).unwrap();
+        let funcs = doc.as_array().unwrap();
+        assert_eq!(funcs.len(), 1, "{json}");
+        assert_eq!(funcs[0].get("func").and_then(Value::as_str), Some("f"), "{json}");
+        let computed = funcs[0].get("computed").and_then(Value::as_array).unwrap();
+        assert_eq!(computed[0].get("write"), Some(&Value::Bool(true)), "{json}");
     }
 
     #[test]

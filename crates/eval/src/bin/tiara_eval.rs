@@ -19,6 +19,8 @@
 //!   extended      six-class extension (std::deque and std::set added)
 //!   all           everything above
 //! ```
+//!
+//! A malformed flag or an unknown command exits with status 2.
 
 use std::process::ExitCode;
 use tiara::{ClassifierConfig, Slicer};
@@ -65,7 +67,14 @@ fn parse_args() -> Result<Options, String> {
         match flag.as_str() {
             "--scale" => opts.scale = value()?.parse().map_err(|e| format!("--scale: {e}"))?,
             "--epochs" => opts.epochs = value()?.parse().map_err(|e| format!("--epochs: {e}"))?,
-            "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            // Artifacts record the seed as a JSON integer, which is signed.
+            "--seed" => {
+                opts.seed = value()?
+                    .parse::<i64>()
+                    .ok()
+                    .and_then(|seed| u64::try_from(seed).ok())
+                    .ok_or(format!("--seed: expected an integer in 0..={}", i64::MAX))?;
+            }
             "--threads" => {
                 opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
             }
@@ -142,7 +151,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
@@ -274,7 +283,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!("unknown command `{other}`\n{}", usage());
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     }
     ExitCode::SUCCESS

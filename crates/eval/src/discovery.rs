@@ -18,11 +18,13 @@
 //! `vsa-soundness` pass) runs over every generated binary as part of the
 //! experiment; its error count is part of the result.
 
+use crate::report::rounded;
 use tiara::discovery::{
     discover_variables, discover_variables_vsa, score_discovery, score_discovery_windowed,
     DiscoveryConfig, DiscoveryScore,
 };
 use tiara_ir::VarAddr;
+use tiara_json::Value;
 use tiara_synth::{generate, Binary, ProjectSpec, TypeCounts};
 
 /// Three computed-address-heavy projects across distinct styles. Ordinary
@@ -245,72 +247,55 @@ pub fn render_discovery_report(r: &DiscoveryResult) -> String {
     s
 }
 
-fn write_score(s: &mut String, key: &str, score: &DiscoveryScore) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        s,
-        "\"{key}\": {{\"found\": {}, \"missed\": {}, \"spurious\": {}, \"proposed\": {}, \
-         \"recall\": {:.6}, \"precision\": {:.6}, \"f1\": {:.6}}}",
-        score.found,
-        score.missed,
-        score.spurious,
-        score.proposed,
-        score.recall(),
-        score.precision(),
-        score.f1()
-    );
+fn score_json(score: &DiscoveryScore) -> Value {
+    let int = |n: usize| Value::Int(n as i64);
+    Value::obj([
+        ("found", int(score.found)),
+        ("missed", int(score.missed)),
+        ("spurious", int(score.spurious)),
+        ("proposed", int(score.proposed)),
+        ("recall", rounded(score.recall(), 6)),
+        ("precision", rounded(score.precision(), 6)),
+        ("f1", rounded(score.f1(), 6)),
+    ])
 }
 
-/// Renders the experiment as JSON (the `DISCOVERY_PR7.json` artifact).
+/// Renders the experiment as JSON (the `DISCOVERY_PR7.json` artifact): the
+/// run's parameters, the four suite-wide scores and one object per project,
+/// as one compact line.
 pub fn render_discovery_json(r: &DiscoveryResult, seed: u64, scale: f64) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\n  \"experiment\": \"discovery\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"oracle_errors\": {},\n  \"totals\": {{",
-        r.oracle_errors
-    );
-    for (i, (key, score)) in [
-        ("heuristic_strict", r.total_heuristic(false)),
-        ("heuristic_windowed", r.total_heuristic(true)),
-        ("vsa_strict", r.total_vsa(false)),
-        ("vsa_windowed", r.total_vsa(true)),
-    ]
-    .iter()
-    .enumerate()
-    {
-        s.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        write_score(&mut s, key, score);
-    }
-    s.push_str("\n  },\n  \"projects\": [");
-    for (i, row) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n    {{\"project\": \"{}\", \"labeled\": {}, \"vsa_heap_sites\": {}, ",
-            if i == 0 { "" } else { "," },
-            row.project,
-            row.labeled,
-            row.vsa_heap_sites
-        );
-        for (j, (key, score)) in [
-            ("heuristic_strict", &row.heuristic.strict),
-            ("heuristic_windowed", &row.heuristic.windowed),
-            ("vsa_strict", &row.vsa.strict),
-            ("vsa_windowed", &row.vsa.windowed),
+    let scores = |[hs, hw, vs, vw]: [DiscoveryScore; 4]| {
+        [
+            ("heuristic_strict", score_json(&hs)),
+            ("heuristic_windowed", score_json(&hw)),
+            ("vsa_strict", score_json(&vs)),
+            ("vsa_windowed", score_json(&vw)),
         ]
-        .iter()
-        .enumerate()
-        {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            write_score(&mut s, key, score);
-        }
-        s.push('}');
-    }
-    s.push_str("\n  ]\n}\n");
-    s
+    };
+    let totals = scores([
+        r.total_heuristic(false),
+        r.total_heuristic(true),
+        r.total_vsa(false),
+        r.total_vsa(true),
+    ]);
+    let projects = r.rows.iter().map(|row| {
+        let head = [
+            ("project", Value::Str(row.project.clone())),
+            ("labeled", Value::Int(row.labeled as i64)),
+            ("vsa_heap_sites", Value::Int(row.vsa_heap_sites as i64)),
+        ];
+        let (h, v) = (row.heuristic, row.vsa);
+        Value::obj(head.into_iter().chain(scores([h.strict, h.windowed, v.strict, v.windowed])))
+    });
+    let doc = Value::obj([
+        ("experiment", Value::Str("discovery".to_owned())),
+        ("seed", Value::Int(seed as i64)),
+        ("scale", Value::Float(scale)),
+        ("oracle_errors", Value::Int(r.oracle_errors as i64)),
+        ("totals", Value::obj(totals)),
+        ("projects", Value::Array(projects.collect())),
+    ]);
+    doc.render() + "\n"
 }
 
 #[cfg(test)]
@@ -349,9 +334,33 @@ mod tests {
         assert!(report.contains("overall"));
         assert!(report.contains("vsa"));
         let json = render_discovery_json(&r, 7, 0.4);
-        assert!(json.contains("\"experiment\": \"discovery\""));
-        assert!(json.contains("\"vsa_strict\""));
-        assert!(json.contains("\"recall\""));
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.ends_with("}\n") && json.matches('\n').count() == 1, "{json}");
+        let doc = tiara_json::parse(&json).unwrap();
+        assert_eq!(doc.get("experiment").and_then(Value::as_str), Some("discovery"));
+        assert_eq!(doc.get("seed"), Some(&Value::Int(7)));
+        let vsa = doc.get("totals").and_then(|t| t.get("vsa_strict")).unwrap();
+        let recall = vsa.get("recall").and_then(Value::as_f64).unwrap();
+        assert_eq!(recall, (r.total_vsa(false).recall() * 1e6).round() / 1e6);
+        let projects = doc.get("projects").and_then(Value::as_array).unwrap();
+        assert_eq!(projects.len(), r.rows.len());
+    }
+
+    #[test]
+    fn json_escapes_project_names() {
+        let zero = DiscoveryScore { found: 0, missed: 0, spurious: 0, proposed: 0 };
+        let mode = ModeScore { strict: zero, windowed: zero };
+        let r = DiscoveryResult {
+            rows: vec![DiscoveryProjectRow {
+                project: "a\"b\\c".to_owned(),
+                labeled: 0,
+                heuristic: mode,
+                vsa: mode,
+                vsa_heap_sites: 0,
+            }],
+            oracle_errors: 0,
+        };
+        let doc = tiara_json::parse(&render_discovery_json(&r, 1, 0.5)).unwrap();
+        let project = &doc.get("projects").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(project.get("project").and_then(Value::as_str), Some("a\"b\\c"));
     }
 }

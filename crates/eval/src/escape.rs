@@ -14,10 +14,12 @@
 //! slicing mode. It reports per-label accuracy for the scenario class,
 //! plus the slice-size evidence (how many escape slices grew strictly).
 
+use crate::report::rounded;
 use crate::suite::parallel_dataset;
 use std::collections::{HashMap, HashSet};
 use tiara::{Classifier, ClassifierConfig, Dataset, Sample, Slicer};
 use tiara_ir::{ContainerClass, VarAddr};
+use tiara_json::Value;
 use tiara_slice::TsliceConfig;
 use tiara_synth::{generate, Binary, ProjectSpec, TypeCounts};
 
@@ -295,37 +297,32 @@ pub fn render_escape_report(r: &EscapeResult) -> String {
     s
 }
 
-/// Renders the experiment as JSON (the `ESCAPE_PR6.json` artifact).
+/// Renders the experiment as JSON (the `ESCAPE_PR6.json` artifact): the
+/// run's parameters, the overall slice sizes and accuracies, and one object
+/// per label, as one compact line.
 pub fn render_escape_json(r: &EscapeResult, seed: u64, scale: f64) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\n  \"experiment\": \"escape\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"escape_criteria\": {},\n  \"strictly_larger\": {},\n  \
-         \"mean_nodes_baseline\": {:.3},\n  \"mean_nodes_summary\": {:.3},\n  \
-         \"baseline_accuracy\": {:.6},\n  \"summary_accuracy\": {:.6},\n  \"labels\": [",
-        r.escape_criteria,
-        r.strictly_larger,
-        r.mean_nodes_baseline,
-        r.mean_nodes_summary,
-        r.baseline_accuracy(),
-        r.summary_accuracy()
-    );
-    for (i, row) in r.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n    {{\"label\": \"{}\", \"n\": {}, \"baseline_correct\": {}, \
-             \"summary_correct\": {}}}",
-            if i == 0 { "" } else { "," },
-            row.class,
-            row.n,
-            row.baseline_correct,
-            row.summary_correct
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    s
+    let int = |n: usize| Value::Int(n as i64);
+    let labels = r.rows.iter().map(|row| {
+        Value::obj([
+            ("label", Value::Str(row.class.to_string())),
+            ("n", int(row.n)),
+            ("baseline_correct", int(row.baseline_correct)),
+            ("summary_correct", int(row.summary_correct)),
+        ])
+    });
+    let doc = Value::obj([
+        ("experiment", Value::Str("escape".to_owned())),
+        ("seed", Value::Int(seed as i64)),
+        ("scale", Value::Float(scale)),
+        ("escape_criteria", int(r.escape_criteria)),
+        ("strictly_larger", int(r.strictly_larger)),
+        ("mean_nodes_baseline", rounded(r.mean_nodes_baseline, 3)),
+        ("mean_nodes_summary", rounded(r.mean_nodes_summary, 3)),
+        ("baseline_accuracy", rounded(r.baseline_accuracy(), 6)),
+        ("summary_accuracy", rounded(r.summary_accuracy(), 6)),
+        ("labels", Value::Array(labels.collect())),
+    ]);
+    doc.render() + "\n"
 }
 
 #[cfg(test)]
@@ -366,8 +363,15 @@ mod tests {
         let report = render_escape_report(&r);
         assert!(report.contains("overall"));
         let json = render_escape_json(&r, 23, 0.5);
-        assert!(json.contains("\"experiment\": \"escape\""));
-        assert!(json.contains("\"labels\": ["));
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.ends_with("}\n") && json.matches('\n').count() == 1, "{json}");
+        let doc = tiara_json::parse(&json).unwrap();
+        assert_eq!(doc.get("experiment").and_then(Value::as_str), Some("escape"));
+        assert_eq!(doc.get("escape_criteria"), Some(&Value::Int(r.escape_criteria as i64)));
+        let labels = doc.get("labels").and_then(Value::as_array).unwrap();
+        assert_eq!(labels.len(), r.rows.len());
+        assert_eq!(
+            labels[0].get("label").and_then(Value::as_str),
+            Some(&*r.rows[0].class.to_string())
+        );
     }
 }

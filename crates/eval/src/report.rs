@@ -1,9 +1,17 @@
-//! Text rendering of the reproduced tables, in the layout of the paper.
+//! Text rendering of the reproduced tables, in the layout of the paper, and
+//! the number rounding the JSON artifacts share.
 
 use crate::experiments::ExperimentResult;
 use crate::tables::{Table1Row, Table3Row, Table4Row};
 use std::fmt::Write as _;
 use tiara_ir::ContainerClass;
+
+/// `x` rounded to `decimals` places, as a JSON number: an integer divided by
+/// a power of ten, which parses back to the same `f64` as the `{:.N}` text.
+pub(crate) fn rounded(x: f64, decimals: i32) -> tiara_json::Value {
+    let scale = 10f64.powi(decimals);
+    tiara_json::Value::Float((x * scale).round() / scale)
+}
 
 fn fmt_opt(v: Option<f64>) -> String {
     match v {

@@ -62,3 +62,19 @@ fn sliced_suite_lookup_and_merge() {
     assert_eq!(merged.len(), t.dataset("re2").len() + t.dataset("list_ext").len());
     assert!(t.total_slice_secs() > 0.0);
 }
+
+#[test]
+fn seed_above_i64_max_is_a_usage_error() {
+    let run = |seed: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tiara-eval"))
+            .args(["table1", "--scale", "0.01", "--seed", seed])
+            .output()
+            .unwrap()
+    };
+    for bad in ["9223372036854775808", "18446744073709551615", "-1"] {
+        let out = run(bad);
+        assert_eq!(out.status.code(), Some(2), "--seed {bad}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--seed"), "--seed {bad}");
+    }
+    assert_eq!(run("9223372036854775807").status.code(), Some(0));
+}

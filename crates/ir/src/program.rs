@@ -238,11 +238,6 @@ impl Program {
         f.contains(next).then_some(next)
     }
 
-    /// Total number of CFG edges.
-    pub fn num_cfg_edges(&self) -> usize {
-        self.cfg_succs.iter().map(Vec::len).sum()
-    }
-
     /// The program's structural fields, exposed for mutation.
     ///
     /// Pair with [`Program::from_raw_unchecked`] to build deliberately
@@ -337,19 +332,15 @@ pub struct ProgramBuilder {
     jumps: Vec<PendingJump>,
     named_calls: Vec<(u32, String)>,
     entry_name: Option<String>,
-    addr_base: u64,
 }
 
-impl ProgramBuilder {
-    /// Creates an empty builder with the default address base `0x71000`.
-    pub fn new() -> ProgramBuilder {
-        ProgramBuilder { addr_base: 0x71000, ..Default::default() }
-    }
+/// The virtual address of a built program's first instruction.
+const ADDR_BASE: u64 = 0x71000;
 
-    /// Sets the virtual address of the first instruction.
-    pub fn with_addr_base(mut self, base: u64) -> ProgramBuilder {
-        self.addr_base = base;
-        self
+impl ProgramBuilder {
+    /// Creates an empty builder.
+    pub fn new() -> ProgramBuilder {
+        ProgramBuilder::default()
     }
 
     /// Marks the named function as the program entry. Defaults to the first
@@ -398,7 +389,7 @@ impl ProgramBuilder {
 
     /// The virtual address instruction `id` was (or will be) assigned.
     pub fn inst_addr(&self, id: InstId) -> u64 {
-        self.addr_base + 4 * id.0 as u64
+        ADDR_BASE + 4 * id.0 as u64
     }
 
     /// Emits an instruction in the open function.
@@ -409,7 +400,7 @@ impl ProgramBuilder {
     pub fn inst(&mut self, opcode: Opcode, kind: InstKind) -> InstId {
         assert!(self.open.is_some(), "instruction emitted outside a function");
         let id = InstId(self.insts.len() as u32);
-        let addr = self.addr_base + 4 * id.0 as u64;
+        let addr = ADDR_BASE + 4 * id.0 as u64;
         self.insts.push(Inst::new(addr, opcode, kind));
         self.inst_func.push(FuncId(self.funcs.len() as u32 - 1));
         id

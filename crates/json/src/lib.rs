@@ -1,5 +1,7 @@
-//! A minimal, dependency-free JSON codec shared by the TIARA crates: the
-//! daemon's wire protocol, the PDB label files, and the `--json` dumps.
+//! The one JSON writer and reader of the TIARA crates. Every document the
+//! workspace emits is a [`Value`] printed by [`Value::render`]: the daemon's
+//! wire protocol, the PDB label files, the `--json` dumps of `tiara` and the
+//! `tiara-eval` artifacts. The same crate parses them back.
 //!
 //! It provides exactly three properties:
 //!
@@ -158,7 +160,7 @@ impl Value {
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping `"`, `\\`
 /// and every control character. The one string escaper of the workspace.
-pub fn render_string(s: &str, out: &mut String) {
+fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -176,7 +178,8 @@ pub fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// `s` as a quoted JSON string literal (see [`render_string`]).
+/// `s` as a quoted JSON string literal, escaping `"`, `\\` and every
+/// control character: the rendering of `Value::Str(s)`.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     render_string(s, &mut out);

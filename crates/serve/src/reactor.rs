@@ -27,7 +27,7 @@
 
 use crate::metrics::Metrics;
 use crate::protocol::{error_reply, ErrorKind};
-use crate::server::{Dispatch, ReplySink, Server};
+use crate::server::{Dispatch, ReplySink, Server, RETRY_AFTER_MS};
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -159,7 +159,7 @@ fn accept_new(
                 progressed = true;
                 if conns.len() >= max_conns {
                     Metrics::bump(&server.metrics().conn_limit_rejects);
-                    refuse(stream, max_conns, server.config().retry_after_ms);
+                    refuse(stream, max_conns);
                     continue;
                 }
                 if prepare_stream(&stream).is_err() {
@@ -201,12 +201,12 @@ fn prepare_stream(stream: &TcpStream) -> std::io::Result<()> {
 /// Tells a rejected peer why it was refused. The socket is still in its
 /// default blocking mode; the payload is one short line, so this cannot
 /// stall the reactor meaningfully.
-fn refuse(mut stream: TcpStream, max_conns: usize, retry_after_ms: u64) {
+fn refuse(mut stream: TcpStream, max_conns: usize) {
     let line = error_reply(
         ErrorKind::ConnLimit,
         &format!("server at its {max_conns}-connection cap"),
         None,
-        [("retry_after_ms", crate::json::Value::Int(retry_after_ms as i64))],
+        [("retry_after_ms", crate::json::Value::Int(RETRY_AFTER_MS as i64))],
     );
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(line.as_bytes());

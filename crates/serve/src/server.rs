@@ -59,23 +59,28 @@ pub struct ServeConfig {
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms`. `None` means no default deadline.
     pub default_deadline_ms: Option<u64>,
-    /// The retry hint attached to `queue_full` and `overloaded` rejections.
-    pub retry_after_ms: u64,
-    /// Addresses classified between deadline checks. Smaller chunks honor
-    /// deadlines more precisely at slightly more scheduling overhead.
-    pub chunk: usize,
     /// Maximum simultaneously open reactor connections; further accepts are
     /// answered with a `conn_limit` error line and closed.
     pub max_conns: usize,
     /// Idle reactor connections (no pending work, empty buffers) are closed
     /// after this long. Zero disables the idle timeout.
     pub idle_timeout_ms: u64,
-    /// Total queued admission cost (estimated slicer steps) where
-    /// probabilistic shedding starts.
-    pub soft_cost: u64,
-    /// Total queued admission cost where every request is rejected.
-    pub hard_cost: u64,
 }
+
+/// The retry hint attached to `queue_full`, `overloaded` and `conn_limit`
+/// rejections.
+pub(crate) const RETRY_AFTER_MS: u64 = 50;
+
+/// Addresses classified between deadline checks. Smaller chunks honor
+/// deadlines more precisely at slightly more scheduling overhead.
+const CHUNK: usize = 8;
+
+/// Total queued admission cost (estimated slicer steps) where probabilistic
+/// shedding starts.
+const SOFT_COST: u64 = 32 << 20;
+
+/// Total queued admission cost where every request is rejected.
+const HARD_COST: u64 = 64 << 20;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -84,12 +89,8 @@ impl Default for ServeConfig {
             workers: 2,
             max_batch: 4096,
             default_deadline_ms: None,
-            retry_after_ms: 50,
-            chunk: 8,
             max_conns: 1024,
             idle_timeout_ms: 30_000,
-            soft_cost: 32 << 20,
-            hard_cost: 64 << 20,
         }
     }
 }
@@ -181,21 +182,13 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`Error::Serve`] for a zero-worker configuration or an inverted cost
-    /// budget.
+    /// [`Error::Serve`] for a zero-worker configuration.
     pub fn new(registry: Registry, config: ServeConfig) -> Result<Server, Error> {
         if config.workers == 0 {
             return Err(Error::Serve("server needs at least one worker".into()));
         }
-        if config.hard_cost <= config.soft_cost {
-            return Err(Error::Serve("hard_cost must exceed soft_cost".into()));
-        }
         let inner = Arc::new(Inner {
-            queue: AdmissionQueue::new(
-                config.queue_capacity.max(1),
-                config.soft_cost,
-                config.hard_cost,
-            ),
+            queue: AdmissionQueue::new(config.queue_capacity.max(1), SOFT_COST, HARD_COST),
             registry,
             config,
             programs: Mutex::new(HashMap::new()),
@@ -581,7 +574,7 @@ impl Server {
                     ErrorKind::QueueFull,
                     "client lane at capacity",
                     id,
-                    [("retry_after_ms", Value::Int(inner.config.retry_after_ms as i64))],
+                    [("retry_after_ms", Value::Int(RETRY_AFTER_MS as i64))],
                 ));
             }
             Err(AdmitError::Overloaded { queued_cost }) => {
@@ -592,7 +585,7 @@ impl Server {
                     id,
                     [
                         ("queued_cost", Value::Int(queued_cost as i64)),
-                        ("retry_after_ms", Value::Int(inner.config.retry_after_ms as i64)),
+                        ("retry_after_ms", Value::Int(RETRY_AFTER_MS as i64)),
                     ],
                 ));
             }
@@ -813,12 +806,11 @@ fn worker_loop(inner: &Inner) {
 /// Returns the response line and the slicer steps spent (for the model's
 /// cost estimator).
 fn answer(inner: &Inner, job: &Job) -> (String, u64) {
-    let chunk = inner.config.chunk.max(1);
     let exec = tiara_par::global();
     let mut results = Vec::with_capacity(job.addrs.len());
     let mut expired = false;
     let mut slice_steps = 0u64;
-    for slab in job.addrs.chunks(chunk) {
+    for slab in job.addrs.chunks(CHUNK) {
         if let Some(deadline) = job.deadline {
             if Instant::now() >= deadline {
                 expired = true;

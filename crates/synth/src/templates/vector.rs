@@ -168,21 +168,6 @@ pub fn clear(ctx: &VarCtx, _rng: &mut StdRng) -> Vec<Chunk> {
     vec![c]
 }
 
-/// `~vector()` — free the buffer, zero the header.
-pub fn dtor(ctx: &VarCtx, _rng: &mut StdRng) -> Vec<Chunk> {
-    let (r0, _) = ctx.scratch();
-    let mut c = Chunk::new();
-    let f = ctx.fields(&mut c);
-    c.push(f.at(0));
-    c.call_extern(tiara_ir::ExternKind::Free);
-    c.clean_args(1);
-    c.zero(r0);
-    c.mov(f.at(0), Operand::reg(r0));
-    c.mov(f.at(4), Operand::reg(r0));
-    c.mov(f.at(8), Operand::reg(r0));
-    vec![c]
-}
-
 /// `v.insert(v.begin() + i, x)` — shift the tail right by one element
 /// (the memmove loop), then store. Contiguity is the signature: no other
 /// container moves elements on insert.

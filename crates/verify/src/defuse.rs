@@ -9,102 +9,45 @@
 //!
 //! * `ebp` and `esp` are defined at function entry (the ABI guarantees
 //!   both); all other registers start undefined.
-//! * calls define `eax`, `ecx`, `edx` (the x86 caller-saved set — callees
-//!   may clobber them, and `eax` carries return values).
-//! * `xor r, r` / `sub r, r` zero idioms define `r` without reading it.
+//! * which registers an instruction reads and defines is
+//!   [`tiara_dataflow::reg_effects`]'s machine model: calls define `eax`,
+//!   `ecx`, `edx` (the x86 caller-saved set — callees may clobber them, and
+//!   `eax` carries return values), and `xor r, r` / `sub r, r` zero idioms
+//!   define `r` without reading it.
 
 use crate::{Diagnostic, PassId};
-use std::collections::{HashMap, HashSet};
-use tiara_ir::{BinOp, CallTarget, InstKind, Operand, Program, Reg};
-
-type Mask = u8;
-
-fn bit(r: Reg) -> Mask {
-    1 << r.index()
-}
-
-fn operand_reads(o: Operand, out: &mut Vec<Reg>) {
-    match o {
-        Operand::Imm(_) => {}
-        Operand::Loc(loc) | Operand::Deref(loc) => {
-            if let Some(r) = loc.base_reg() {
-                out.push(r);
-            }
-        }
-    }
-}
-
-/// The registers `inst` reads and the mask of registers it defines.
-fn effects(kind: &InstKind) -> (Vec<Reg>, Mask) {
-    let mut reads = Vec::new();
-    let mut writes: Mask = 0;
-    match kind {
-        InstKind::Mov { dst, src } => {
-            operand_reads(*src, &mut reads);
-            match dst.as_reg() {
-                Some(r) => writes |= bit(r),
-                None => operand_reads(*dst, &mut reads),
-            }
-        }
-        InstKind::Op { op, dst, src } => {
-            let zeroing = matches!(op, BinOp::Xor | BinOp::Sub)
-                && dst.as_reg().is_some()
-                && dst.as_reg() == src.as_reg();
-            if !zeroing {
-                operand_reads(*src, &mut reads);
-                operand_reads(*dst, &mut reads); // read-modify-write
-            }
-            if let Some(r) = dst.as_reg() {
-                writes |= bit(r);
-            }
-        }
-        InstKind::Use { oprs } => {
-            for o in oprs {
-                operand_reads(*o, &mut reads);
-            }
-        }
-        InstKind::Push { src } => operand_reads(*src, &mut reads),
-        InstKind::Pop { dst } => match dst.as_reg() {
-            Some(r) => writes |= bit(r),
-            None => operand_reads(*dst, &mut reads),
-        },
-        InstKind::Call { target } => {
-            if let CallTarget::Indirect(o) = target {
-                operand_reads(*o, &mut reads);
-            }
-            writes |= bit(Reg::Eax) | bit(Reg::Ecx) | bit(Reg::Edx);
-        }
-        InstKind::Ret => {}
-    }
-    (reads, writes)
-}
+use std::collections::HashMap;
+use tiara_dataflow::{reg_effects, RegSet};
+use tiara_ir::{Program, Reg};
+// The unit tests below build instructions through `super::*`.
+#[cfg(test)]
+use tiara_ir::{BinOp, InstKind, Operand};
 
 pub(crate) fn run(prog: &Program) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let entry_mask = bit(Reg::Ebp) | bit(Reg::Esp);
+    let entry_defined = RegSet::from_regs(&[Reg::Ebp, Reg::Esp]);
 
     for f in prog.funcs() {
-        // Fixpoint: in_mask[i] = intersection over all reaching paths of the
+        // Fixpoint: defined[i] = intersection over all reaching paths of the
         // registers defined before i.
-        let mut in_mask: HashMap<u32, Mask> = HashMap::new();
-        let mut work = vec![(f.entry(), entry_mask)];
+        let mut defined: HashMap<u32, RegSet> = HashMap::new();
+        let mut work = vec![(f.entry(), entry_defined)];
         while let Some((id, incoming)) = work.pop() {
-            let cur = match in_mask.get(&id.0) {
+            let cur = match defined.get(&id.0) {
                 Some(&old) => {
-                    let joined = old & incoming;
+                    let joined = RegSet(old.0 & incoming.0);
                     if joined == old {
                         continue;
                     }
-                    in_mask.insert(id.0, joined);
+                    defined.insert(id.0, joined);
                     joined
                 }
                 None => {
-                    in_mask.insert(id.0, incoming);
+                    defined.insert(id.0, incoming);
                     incoming
                 }
             };
-            let (_, writes) = effects(&prog.inst(id).kind);
-            let out = cur | writes;
+            let out = cur.union(reg_effects(&prog.inst(id).kind).writes);
             for &s in prog.flow_succs(id) {
                 if f.contains(s) {
                     work.push((s, out));
@@ -112,24 +55,21 @@ pub(crate) fn run(prog: &Program) -> Vec<Diagnostic> {
             }
         }
 
-        // Report each (instruction, register) violation once.
-        let mut reported: HashSet<(u32, u8)> = HashSet::new();
+        // Each read register is reported once per instruction, in register
+        // encoding order.
         for id in f.inst_ids() {
-            let Some(&mask) = in_mask.get(&id.0) else {
+            let Some(&mask) = defined.get(&id.0) else {
                 continue;
             };
-            let (reads, _) = effects(&prog.inst(id).kind);
-            for r in reads {
-                if mask & bit(r) == 0 && reported.insert((id.0, r.index() as u8)) {
-                    diags.push(
-                        Diagnostic::error(
-                            PassId::DefBeforeUse,
-                            format!("register {r} may be read before it is defined"),
-                        )
-                        .in_func(f.id)
-                        .at(id),
-                    );
-                }
+            for r in reg_effects(&prog.inst(id).kind).reads.minus(mask).iter() {
+                diags.push(
+                    Diagnostic::error(
+                        PassId::DefBeforeUse,
+                        format!("register {r} may be read before it is defined"),
+                    )
+                    .in_func(f.id)
+                    .at(id),
+                );
             }
         }
     }

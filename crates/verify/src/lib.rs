@@ -78,6 +78,7 @@ pub use oracle::{
 };
 
 use tiara_ir::{FuncId, InstId, Program, VarAddr};
+use tiara_json::Value;
 
 /// Identifies the verifier pass that produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -282,36 +283,27 @@ impl Report {
         out
     }
 
-    /// Renders the report as a JSON object (no external dependencies — the
-    /// output is plain, escaped JSON suitable for machine consumption).
+    /// Renders the report as the `tiara lint --json` object:
+    /// `{"errors", "warnings", "diagnostics": [{"pass", "severity", "func",
+    /// "inst", "message"}]}`, with `null` for a missing function or
+    /// instruction.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.num_errors(),
-            self.num_warnings()
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pass\":\"{}\",\"severity\":\"{}\",",
-                d.pass.name(),
-                d.severity.name()
-            ));
-            match d.func {
-                Some(f) => out.push_str(&format!("\"func\":{},", f.index())),
-                None => out.push_str("\"func\":null,"),
-            }
-            match d.inst {
-                Some(i) => out.push_str(&format!("\"inst\":{},", i.index())),
-                None => out.push_str("\"inst\":null,"),
-            }
-            out.push_str(&format!("\"message\":{}}}", tiara_json::quote(&d.message)));
-        }
-        out.push_str("]}");
-        out
+        let index = |i: Option<usize>| i.map_or(Value::Null, |i| Value::Int(i as i64));
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Value::obj([
+                ("pass", Value::Str(d.pass.name().to_owned())),
+                ("severity", Value::Str(d.severity.name().to_owned())),
+                ("func", index(d.func.map(|f| f.index()))),
+                ("inst", index(d.inst.map(|i| i.index()))),
+                ("message", Value::Str(d.message.clone())),
+            ])
+        });
+        Value::obj([
+            ("errors", Value::Int(self.num_errors() as i64)),
+            ("warnings", Value::Int(self.num_warnings() as i64)),
+            ("diagnostics", Value::Array(diagnostics.collect())),
+        ])
+        .render()
     }
 }
 
@@ -392,9 +384,11 @@ mod tests {
         let human = report.render_human(&p);
         assert!(human.contains("error[stack-balance]"));
         assert!(human.contains("bad"));
-        let json = report.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"pass\":\"stack-balance\""));
-        assert!(json.contains("\"severity\":\"error\""));
+        let json = tiara_json::parse(&report.render_json()).unwrap();
+        let diagnostics = json.get("diagnostics").and_then(Value::as_array).unwrap();
+        assert!(diagnostics
+            .iter()
+            .any(|d| d.get("pass").and_then(Value::as_str) == Some("stack-balance")
+                && d.get("severity").and_then(Value::as_str) == Some("error")));
     }
 }

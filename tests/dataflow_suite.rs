@@ -70,3 +70,26 @@ fn kill_rules_agree_with_reaching_defs_across_the_suite() {
     }
     assert!(events > 0, "the suite must exercise the kill rules at least once");
 }
+
+/// FNV-1a64 of the `tiara analyze --json`, `tiara analyze --interproc
+/// --json` and `tiara lint --json` documents over every binary of the
+/// benchmark suite and the discovery suite, in order. Pinned so that a
+/// change to how the documents are assembled can prove its output
+/// byte-identical.
+#[test]
+fn json_dumps_are_pinned() {
+    use tiara_container::{fnv1a64, FNV_OFFSET};
+    use tiara_dataflow::{render_interproc_json, summarize_program};
+    let mut bins = tiara_eval::build_suite(1, 0.05);
+    bins.extend(tiara_eval::build_discovery_suite(42, 0.4));
+    let (mut facts, mut interproc, mut lint) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+    for bin in &bins {
+        let p = &bin.program;
+        facts = fnv1a64(facts, render_json(&analyze_program(p)).as_bytes());
+        interproc = fnv1a64(interproc, render_interproc_json(&summarize_program(p)).as_bytes());
+        lint = fnv1a64(lint, verify(p).render_json().as_bytes());
+    }
+    assert_eq!(facts, 0x9c93_9736_d702_195d, "the analyze JSON moved");
+    assert_eq!(interproc, 0x81c3_14ab_aaa0_b5b6, "the interproc JSON moved");
+    assert_eq!(lint, 0xacb4_ba8d_50c2_1dbd, "the lint JSON moved");
+}

@@ -123,5 +123,5 @@ fn vsa_renderings_are_pinned() {
         json = fnv1a64(json, render_vsa_json(&bin.program, &results).as_bytes());
     }
     assert_eq!(text, 0x935e_b991_c81b_27cb, "the text rendering moved");
-    assert_eq!(json, 0xcfc8_b56b_7b7e_e2d4, "the JSON rendering moved");
+    assert_eq!(json, 0x4a95_520b_4938_3d60, "the JSON rendering moved");
 }
