@@ -164,12 +164,7 @@ struct VsaPoints {
 fn vsa_points(prog: &Program, f: &Function, cfg: &DiscoveryConfig) -> VsaPoints {
     let mut found = VsaPoints::default();
     let framed = matches!(detect_frame_mode(prog, f.id), FrameMode::FramePointer);
-    let res = vsa_function(prog, f.id);
-    for id in f.inst_ids() {
-        if !res.reached(id) {
-            continue;
-        }
-        let fact = res.before(id);
+    vsa_function(prog, f.id).walk(prog, |id, fact| {
         for opr in prog.inst(id).kind.operands() {
             let loc = match opr {
                 Operand::Deref(loc) | Operand::Loc(loc) => loc,
@@ -205,7 +200,7 @@ fn vsa_points(prog: &Program, f: &Function, cfg: &DiscoveryConfig) -> VsaPoints 
                 }
             }
         }
-    }
+    });
     found
 }
 

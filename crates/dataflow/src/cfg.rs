@@ -80,19 +80,22 @@ impl BlockCfg {
         let f = prog.func(func);
         let start = f.entry().0;
         let end = start + f.len() as u32; // exclusive
-        Self::build(prog, start, end, &[f.entry()], |id| {
-            prog.flow_succs(id).iter().copied().filter(|s| f.contains(*s)).collect()
+        Self::build(prog, start, end, &[f.entry()], |id, out| {
+            out.extend(prog.flow_succs(id).iter().copied().filter(|s| f.contains(*s)));
         })
     }
 
+    /// Carves `start..end` into blocks; `succs_of(id, out)` appends the
+    /// successors of `id` to `out`, one buffer reused for every query.
     fn build(
         prog: &Program,
         start: u32,
         end: u32,
         entries: &[InstId],
-        succs_of: impl Fn(InstId) -> Vec<InstId>,
+        succs_of: impl Fn(InstId, &mut Vec<InstId>),
     ) -> BlockCfg {
         let n = (end - start) as usize;
+        let mut succs = Vec::new();
         let mut leader = vec![false; n];
         for &e in entries {
             leader[(e.0 - start) as usize] = true;
@@ -102,7 +105,9 @@ impl BlockCfg {
             if ends_block(prog, id) && i + 1 < end {
                 leader[(i + 1 - start) as usize] = true;
             }
-            for s in succs_of(id) {
+            succs.clear();
+            succs_of(id, &mut succs);
+            for &s in &succs {
                 if (start..end).contains(&s.0) && s.0 != i + 1 {
                     leader[(s.0 - start) as usize] = true;
                 }
@@ -145,9 +150,10 @@ impl BlockCfg {
 
         // Wire block edges from the last instruction of each block.
         for bi in 0..blocks.len() {
-            let last = blocks[bi].end;
+            succs.clear();
+            succs_of(blocks[bi].end, &mut succs);
             let mut ss = Vec::new();
-            for s in succs_of(last) {
+            for s in &succs {
                 if (start..end).contains(&s.0) {
                     let sb = BlockId(block_of[(s.0 - start) as usize]);
                     if !ss.contains(&sb) {
@@ -155,13 +161,13 @@ impl BlockCfg {
                     }
                 }
             }
-            blocks[bi].succs = ss.clone();
-            for sb in ss {
-                let me = BlockId(bi as u32);
+            let me = BlockId(bi as u32);
+            for &sb in &ss {
                 if !blocks[sb.index()].preds.contains(&me) {
                     blocks[sb.index()].preds.push(me);
                 }
             }
+            blocks[bi].succs = ss;
         }
 
         let entry_blocks =

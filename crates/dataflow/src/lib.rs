@@ -54,5 +54,5 @@ pub use summary::{
 };
 pub use vsa::{
     enumerate_alocs, render_vsa_json, render_vsa_text, vsa_function, vsa_program, ALoc, MemOp,
-    Region, StridedInterval, VsaAnalysis, VsaFact, VsaResult, VsaTotals, Vsv,
+    Region, RegionMap, StridedInterval, VsaAnalysis, VsaFact, VsaResult, VsaTotals, Vsv,
 };

@@ -2,9 +2,9 @@
 //!
 //! An analysis supplies a join-semilattice of facts ([`Lattice`]) and a
 //! per-instruction transfer function with an optional SCCP-style edge filter
-//! ([`Transfer`]); the solver iterates block-level facts over a
-//! [`BlockCfg`] to the least fixpoint and then materializes per-instruction
-//! facts by replaying each block once.
+//! ([`Transfer`]); `fixpoint` iterates block-level facts over a
+//! [`BlockCfg`] to the least fixpoint, and [`solve`] then materializes
+//! per-instruction facts by replaying each block once.
 //!
 //! The same engine runs forward and backward over one function's flow
 //! relation; inter-procedural facts come from the bottom-up summaries of
@@ -18,7 +18,7 @@
 //! program — re-solving reaches the identical fixpoint (property-tested in
 //! `tests/`).
 
-use crate::cfg::{BlockCfg, BlockId};
+use crate::cfg::{Block, BlockCfg, BlockId};
 use tiara_ir::{FuncId, InstId, Program};
 
 /// Which way facts flow.
@@ -124,6 +124,51 @@ pub fn solve<T: Transfer>(prog: &Program, func: FuncId, analysis: &T) -> Solutio
 /// Solves over an explicit block graph (exposed so callers can reuse one
 /// [`BlockCfg`] across several analyses).
 pub fn solve_on<T: Transfer>(prog: &Program, cfg: BlockCfg, analysis: &T) -> Solution<T::Fact> {
+    let dir = analysis.direction();
+    let (input, reached) = fixpoint(prog, &cfg, analysis);
+
+    // Materialize per-instruction facts by replaying each reached block.
+    let base = if cfg.num_blocks() > 0 { cfg.block(BlockId(0)).start.0 } else { 0 };
+    let total: usize = cfg.blocks().iter().map(Block::len).sum();
+    let mut before: Vec<T::Fact> = (0..total).map(|_| analysis.bottom()).collect();
+    let mut after: Vec<T::Fact> = (0..total).map(|_| analysis.bottom()).collect();
+    for (bi, blk) in cfg.blocks().iter().enumerate() {
+        if !reached[bi] {
+            continue;
+        }
+        let mut fact = input[bi].clone();
+        match dir {
+            Direction::Forward => {
+                for id in blk.insts() {
+                    before[(id.0 - base) as usize] = fact.clone();
+                    analysis.apply(prog, id, &mut fact);
+                    after[(id.0 - base) as usize] = fact.clone();
+                }
+            }
+            Direction::Backward => {
+                for id in blk.insts().rev() {
+                    after[(id.0 - base) as usize] = fact.clone();
+                    analysis.apply(prog, id, &mut fact);
+                    before[(id.0 - base) as usize] = fact.clone();
+                }
+            }
+        }
+    }
+    Solution { cfg, before, after, reached, base }
+}
+
+/// Iterates block-level facts over `cfg` to the least fixpoint. Returns,
+/// per block, the fact where the block is entered in the analysis
+/// direction (before its first instruction forward, after its last
+/// backward), and whether the boundary reached it. Replaying a reached
+/// block's transfer from its entry fact reproduces every per-instruction
+/// fact, which is how [`solve_on`] materializes a [`Solution`] and how
+/// value-set analysis visits its facts without storing them.
+pub(crate) fn fixpoint<T: Transfer>(
+    prog: &Program,
+    cfg: &BlockCfg,
+    analysis: &T,
+) -> (Vec<T::Fact>, Vec<bool>) {
     let n = cfg.num_blocks();
     let dir = analysis.direction();
     let mut input: Vec<T::Fact> = (0..n).map(|_| analysis.bottom()).collect();
@@ -147,10 +192,12 @@ pub fn solve_on<T: Transfer>(prog: &Program, cfg: BlockCfg, analysis: &T) -> Sol
         in_work[b.index()] = true;
     }
 
+    // One scratch fact, refilled per block visit with `clone_from`.
+    let mut fact = analysis.bottom();
     while let Some(b) = work.pop_front() {
         in_work[b.index()] = false;
         // Run the block's transfer in the analysis direction.
-        let mut fact = input[b.index()].clone();
+        fact.clone_from(&input[b.index()]);
         let blk = cfg.block(b);
         match dir {
             Direction::Forward => {
@@ -185,39 +232,8 @@ pub fn solve_on<T: Transfer>(prog: &Program, cfg: BlockCfg, analysis: &T) -> Sol
             }
         }
     }
-
-    // Materialize per-instruction facts by replaying each reached block.
-    let base = if n > 0 { cfg.block(BlockId(0)).start.0 } else { 0 };
-    let total: usize = cfg.blocks().iter().map(Block::len).sum();
-    let mut before: Vec<T::Fact> = (0..total).map(|_| analysis.bottom()).collect();
-    let mut after: Vec<T::Fact> = (0..total).map(|_| analysis.bottom()).collect();
-    for bi in 0..n {
-        if !reached[bi] {
-            continue;
-        }
-        let blk = cfg.block(BlockId(bi as u32));
-        let mut fact = input[bi].clone();
-        match dir {
-            Direction::Forward => {
-                for id in blk.insts() {
-                    before[(id.0 - base) as usize] = fact.clone();
-                    analysis.apply(prog, id, &mut fact);
-                    after[(id.0 - base) as usize] = fact.clone();
-                }
-            }
-            Direction::Backward => {
-                for id in blk.insts().rev() {
-                    after[(id.0 - base) as usize] = fact.clone();
-                    analysis.apply(prog, id, &mut fact);
-                    before[(id.0 - base) as usize] = fact.clone();
-                }
-            }
-        }
-    }
-    Solution { cfg, before, after, reached, base }
+    (input, reached)
 }
-
-use crate::cfg::Block;
 
 #[cfg(test)]
 mod tests {

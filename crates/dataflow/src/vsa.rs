@@ -21,8 +21,16 @@
 //! tracked-frame map only shrinks under join, so the post-widening lattice
 //! has finite height and the solve terminates on any loop nest.
 //!
-//! **Determinism contract.** All state lives in `BTreeMap`s and
-//! index-ordered arrays, the solver drains its worklist in block order, and
+//! **Representation.** A value set's region map is a region-sorted inline
+//! array of at most [`MAX_REGIONS`] pairs ([`RegionMap`]) — a set that would
+//! need more regions is ⊤, so the array is exact and never spills — and a
+//! fact's tracked frame slots are one offset-sorted `Vec`. The fixpoint
+//! keeps only block-entry facts; [`VsaResult::walk`] replays each reached
+//! block to visit the fact before every instruction, so no per-instruction
+//! fact is stored and a scratch fact refilled per block stops allocating.
+//!
+//! **Determinism contract.** All state lives in sorted arrays and
+//! index-ordered vectors, the solver drains its worklist in block order, and
 //! functions are analyzed independently — so the result is a pure function
 //! of the program, bitwise identical at any thread count (the parallel
 //! drivers only partition work, they never share state).
@@ -32,8 +40,8 @@
 //! four `vsa-*` lint passes in tiara-verify (including a concrete-execution
 //! soundness oracle), and `tiara analyze --vsa`.
 
-use crate::solver::{solve, Direction, Lattice, Solution, Transfer};
-use std::collections::BTreeMap;
+use crate::cfg::BlockCfg;
+use crate::solver::{fixpoint, Direction, Lattice, Transfer};
 use tiara_ir::{Addr, BinOp, FuncId, InstId, InstKind, Loc, Operand, Program, Reg};
 use tiara_json::Value;
 
@@ -260,29 +268,139 @@ impl std::fmt::Display for Region {
     }
 }
 
+/// The per-region intervals of a value set that is not ⊤: at most
+/// [`MAX_REGIONS`] `(region, interval)` pairs, sorted by region and held
+/// inline. A set that would need one more region is ⊤ instead, so the
+/// array never overflows and nothing spills to the heap.
+#[derive(Clone, Copy)]
+pub struct RegionMap {
+    len: u8,
+    entries: [(Region, StridedInterval); MAX_REGIONS],
+}
+
+impl RegionMap {
+    /// The empty map (⊥ as a value set).
+    const EMPTY: RegionMap = RegionMap {
+        len: 0,
+        entries: [(Region::Global, StridedInterval { stride: 0, lo: 0, hi: 0 }); MAX_REGIONS],
+    };
+
+    fn one(region: Region, si: StridedInterval) -> RegionMap {
+        let mut m = RegionMap::EMPTY;
+        m.entries[0] = (region, si);
+        m.len = 1;
+        m
+    }
+
+    /// Number of regions.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` for the empty map.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The live `(region, interval)` pairs, in region order.
+    pub fn as_slice(&self) -> &[(Region, StridedInterval)] {
+        &self.entries[..self.len()]
+    }
+
+    /// Iterates the live pairs in region order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (Region, StridedInterval)> {
+        self.as_slice().iter()
+    }
+
+    /// The interval of `region`, if present.
+    pub fn get(&self, region: Region) -> Option<StridedInterval> {
+        self.iter().find(|(r, _)| *r == region).map(|&(_, si)| si)
+    }
+
+    fn get_mut(&mut self, region: Region) -> Option<&mut StridedInterval> {
+        let len = self.len();
+        self.entries[..len].iter_mut().find(|(r, _)| *r == region).map(|(_, si)| si)
+    }
+
+    /// Inserts an absent `region` at its sorted position; `false` (and the
+    /// map unchanged) if the map is already full.
+    fn insert(&mut self, region: Region, si: StridedInterval) -> bool {
+        let len = self.len();
+        if len == MAX_REGIONS {
+            return false;
+        }
+        let at = self.as_slice().partition_point(|(r, _)| *r < region);
+        self.entries.copy_within(at..len, at + 1);
+        self.entries[at] = (region, si);
+        self.len += 1;
+        true
+    }
+
+    /// Joins `si` into `region`'s interval, inserting it if absent; `false`
+    /// if a new region did not fit.
+    fn insert_joined(&mut self, region: Region, si: StridedInterval) -> bool {
+        match self.get_mut(region) {
+            Some(old) => {
+                *old = old.join(si);
+                true
+            }
+            None => self.insert(region, si),
+        }
+    }
+}
+
+impl PartialEq for RegionMap {
+    fn eq(&self, other: &RegionMap) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RegionMap {}
+
+impl std::hash::Hash for RegionMap {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for RegionMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter().map(|(r, si)| (r, si))).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a RegionMap {
+    type Item = &'a (Region, StridedInterval);
+    type IntoIter = std::slice::Iter<'a, (Region, StridedInterval)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// A value set: ⊤, or per-region strided intervals (the empty map is ⊥).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vsv {
     /// Any value in any region.
     Top,
     /// The union over regions of `region + interval`.
-    Set(BTreeMap<Region, StridedInterval>),
+    Set(RegionMap),
 }
 
 impl Vsv {
     /// ⊥ — the empty value set.
     pub fn bottom() -> Vsv {
-        Vsv::Set(BTreeMap::new())
+        Vsv::Set(RegionMap::EMPTY)
     }
 
     /// The integer constant `c` (a [`Region::Global`] singleton).
     pub fn constant(c: i64) -> Vsv {
-        Vsv::Set(BTreeMap::from([(Region::Global, StridedInterval::singleton(c))]))
+        Vsv::offset_in(Region::Global, c)
     }
 
     /// A singleton at `region + off`.
     pub fn offset_in(region: Region, off: i64) -> Vsv {
-        Vsv::Set(BTreeMap::from([(region, StridedInterval::singleton(off))]))
+        Vsv::Set(RegionMap::one(region, StridedInterval::singleton(off)))
     }
 
     /// `true` for ⊤.
@@ -291,7 +409,7 @@ impl Vsv {
     }
 
     /// The per-region intervals, unless ⊤.
-    pub fn regions(&self) -> Option<&BTreeMap<Region, StridedInterval>> {
+    pub fn regions(&self) -> Option<&RegionMap> {
         match self {
             Vsv::Top => None,
             Vsv::Set(m) => Some(m),
@@ -300,76 +418,48 @@ impl Vsv {
 
     /// The exact offset, if this set is a singleton in exactly `region`.
     pub fn singleton_in(&self, region: Region) -> Option<i64> {
-        let m = self.regions()?;
-        if m.len() != 1 {
-            return None;
-        }
-        let (r, si) = m.iter().next()?;
+        let [(r, si)] = self.regions()?.as_slice() else { return None };
         (*r == region).then(|| si.as_singleton())?
-    }
-
-    fn insert_joined(m: &mut BTreeMap<Region, StridedInterval>, r: Region, si: StridedInterval) {
-        match m.get_mut(&r) {
-            Some(old) => *old = old.join(si),
-            None => {
-                m.insert(r, si);
-            }
-        }
-    }
-
-    fn capped(m: BTreeMap<Region, StridedInterval>) -> Vsv {
-        if m.len() > MAX_REGIONS {
-            Vsv::Top
-        } else {
-            Vsv::Set(m)
-        }
     }
 
     /// Joins `other` into `self`; under `widen`, changing intervals jump to
     /// the full range. Returns `true` if `self` changed.
     pub fn join(&mut self, other: &Vsv, widen: bool) -> bool {
-        match (&mut *self, other) {
-            (Vsv::Top, _) => false,
-            (_, Vsv::Top) => {
+        let (Vsv::Set(mine), Vsv::Set(theirs)) = (&mut *self, other) else {
+            let changed = !self.is_top();
+            *self = Vsv::Top;
+            return changed;
+        };
+        let mut changed = false;
+        for &(r, si) in theirs {
+            if let Some(old) = mine.get_mut(r) {
+                let j = if widen { old.widen(si) } else { old.join(si) };
+                if j != *old {
+                    *old = j;
+                    changed = true;
+                }
+            } else if mine.insert(r, si) {
+                changed = true;
+            } else {
                 *self = Vsv::Top;
-                true
-            }
-            (Vsv::Set(mine), Vsv::Set(theirs)) => {
-                let mut changed = false;
-                for (r, si) in theirs {
-                    match mine.get_mut(r) {
-                        Some(old) => {
-                            let j = if widen { old.widen(*si) } else { old.join(*si) };
-                            if j != *old {
-                                *old = j;
-                                changed = true;
-                            }
-                        }
-                        None => {
-                            mine.insert(*r, *si);
-                            changed = true;
-                        }
-                    }
-                }
-                if mine.len() > MAX_REGIONS {
-                    *self = Vsv::Top;
-                }
-                changed
+                return true;
             }
         }
+        changed
     }
 
     /// Shifts every region's interval by the constant `c`.
     pub fn plus(&self, c: i64) -> Vsv {
-        if c == 0 {
-            return self.clone();
+        let mut out = *self;
+        if let Vsv::Set(m) = &mut out {
+            if c != 0 {
+                let len = m.len();
+                for (_, si) in &mut m.entries[..len] {
+                    *si = *si + StridedInterval::singleton(c);
+                }
+            }
         }
-        match self {
-            Vsv::Top => Vsv::Top,
-            Vsv::Set(m) => Vsv::Set(
-                m.iter().map(|(r, si)| (*r, *si + StridedInterval::singleton(c))).collect(),
-            ),
-        }
+        out
     }
 
     /// Abstract binary operation with the region algebra: offsets move
@@ -380,15 +470,15 @@ impl Vsv {
         if ma.is_empty() || mb.is_empty() {
             return Vsv::bottom();
         }
-        let mut out: BTreeMap<Region, StridedInterval> = BTreeMap::new();
-        for (ra, ia) in ma {
-            for (rb, ib) in mb {
+        let mut out = RegionMap::EMPTY;
+        for &(ra, ia) in ma {
+            for &(rb, ib) in mb {
                 let (region, si) = match (op, ra, rb) {
-                    (BinOp::Add, Region::Global, r) => (*r, *ia + *ib),
-                    (BinOp::Add, r, Region::Global) => (*r, *ia + *ib),
-                    (BinOp::Sub, r, Region::Global) => (*r, *ia - *ib),
-                    (BinOp::Sub, r1, r2) if r1 == r2 => (Region::Global, *ia - *ib),
-                    (BinOp::Mul, Region::Global, Region::Global) => (Region::Global, *ia * *ib),
+                    (BinOp::Add, Region::Global, r) => (r, ia + ib),
+                    (BinOp::Add, r, Region::Global) => (r, ia + ib),
+                    (BinOp::Sub, r, Region::Global) => (r, ia - ib),
+                    (BinOp::Sub, r1, r2) if r1 == r2 => (Region::Global, ia - ib),
+                    (BinOp::Mul, Region::Global, Region::Global) => (Region::Global, ia * ib),
                     (
                         BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr,
                         Region::Global,
@@ -401,10 +491,12 @@ impl Vsv {
                     },
                     _ => return Vsv::Top,
                 };
-                Vsv::insert_joined(&mut out, region, si);
+                if !out.insert_joined(region, si) {
+                    return Vsv::Top;
+                }
             }
         }
-        Vsv::capped(out)
+        Vsv::Set(out)
     }
 }
 
@@ -429,30 +521,40 @@ impl std::fmt::Display for Vsv {
 }
 
 /// The per-point VSA fact: one value set per register plus the tracked
-/// frame slots (entry-`esp`-relative; a present key means the slot was
-/// written on every path, an absent slot reads as ⊤).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// frame slots (entry-`esp`-relative, sorted by offset; a present slot
+/// means it was written on every path, an absent slot reads as ⊤).
+#[derive(Debug, PartialEq, Eq)]
 pub struct VsaFact {
     live: bool,
     regs: [Vsv; 8],
-    frame: BTreeMap<i64, Vsv>,
+    frame: Vec<(i64, Vsv)>,
     ascent: u32,
+}
+
+impl Clone for VsaFact {
+    fn clone(&self) -> VsaFact {
+        VsaFact { live: self.live, regs: self.regs, frame: self.frame.clone(), ascent: self.ascent }
+    }
+
+    /// Reuses `self`'s frame buffer, so a scratch fact refilled block after
+    /// block stops allocating once it has held the largest frame.
+    fn clone_from(&mut self, source: &VsaFact) {
+        self.live = source.live;
+        self.regs = source.regs;
+        self.frame.clone_from(&source.frame);
+        self.ascent = source.ascent;
+    }
 }
 
 impl VsaFact {
     fn unreached() -> VsaFact {
-        VsaFact {
-            live: false,
-            regs: std::array::from_fn(|_| Vsv::bottom()),
-            frame: BTreeMap::new(),
-            ascent: 0,
-        }
+        VsaFact { live: false, regs: [Vsv::bottom(); 8], frame: Vec::new(), ascent: 0 }
     }
 
     fn entry(func: FuncId) -> VsaFact {
-        let mut regs: [Vsv; 8] = std::array::from_fn(|_| Vsv::Top);
+        let mut regs = [Vsv::Top; 8];
         regs[Reg::Esp.index()] = Vsv::offset_in(Region::Frame(func), 0);
-        VsaFact { live: true, regs, frame: BTreeMap::new(), ascent: 0 }
+        VsaFact { live: true, regs, frame: Vec::new(), ascent: 0 }
     }
 
     /// The value set of `r` at this point.
@@ -478,16 +580,23 @@ impl VsaFact {
         }
     }
 
+    fn slot(&self, off: i64) -> Result<usize, usize> {
+        self.frame.binary_search_by_key(&off, |&(k, _)| k)
+    }
+
     fn load(&self, func: FuncId, addr: &Vsv) -> Vsv {
-        match addr.singleton_in(Region::Frame(func)) {
-            Some(off) => self.frame.get(&off).cloned().unwrap_or(Vsv::Top),
-            None => Vsv::Top,
+        match addr.singleton_in(Region::Frame(func)).map(|off| self.slot(off)) {
+            Some(Ok(i)) => self.frame[i].1,
+            _ => Vsv::Top,
         }
     }
 
     fn store(&mut self, func: FuncId, addr: &Vsv, v: Vsv) {
         if let Some(off) = addr.singleton_in(Region::Frame(func)) {
-            self.frame.insert(off, v);
+            match self.slot(off) {
+                Ok(i) => self.frame[i].1 = v,
+                Err(i) => self.frame.insert(i, (off, v)),
+            }
             if self.frame.len() > MAX_FRAME_SLOTS {
                 self.frame.clear();
             }
@@ -498,11 +607,11 @@ impl VsaFact {
         match addr.regions() {
             None => self.frame.clear(),
             Some(m) => {
-                if let Some(si) = m.get(&Region::Frame(func)) {
+                if let Some(si) = m.get(Region::Frame(func)) {
                     if si.is_full() {
                         self.frame.clear();
                     } else {
-                        self.frame.retain(|&k, _| k + 3 < si.lo || k > si.hi + 3);
+                        self.frame.retain(|&(k, _)| k + 3 < si.lo || k > si.hi + 3);
                     }
                 }
             }
@@ -525,8 +634,9 @@ impl VsaFact {
     }
 
     fn pop(&mut self, func: FuncId) -> Vsv {
-        let v = self.load(func, &self.regs[Reg::Esp.index()].clone());
-        self.regs[Reg::Esp.index()] = self.regs[Reg::Esp.index()].plus(4);
+        let esp = self.regs[Reg::Esp.index()];
+        let v = self.load(func, &esp);
+        self.regs[Reg::Esp.index()] = esp.plus(4);
         v
     }
 }
@@ -537,7 +647,7 @@ impl Lattice for VsaFact {
             return false;
         }
         if !self.live {
-            *self = other.clone();
+            self.clone_from(other);
             return true;
         }
         let widen = self.ascent >= ASCENT_BUDGET;
@@ -545,15 +655,21 @@ impl Lattice for VsaFact {
         for (mine, theirs) in self.regs.iter_mut().zip(other.regs.iter()) {
             changed |= mine.join(theirs, widen);
         }
-        let dropped: Vec<i64> =
-            self.frame.keys().copied().filter(|k| !other.frame.contains_key(k)).collect();
-        for k in dropped {
-            self.frame.remove(&k);
-            changed = true;
-        }
-        for (k, v) in self.frame.iter_mut() {
-            changed |= v.join(&other.frame[k], widen);
-        }
+        // Keep the slots tracked on both sides; both lists are sorted.
+        let mut theirs = other.frame.iter().peekable();
+        self.frame.retain_mut(|(k, v)| {
+            while theirs.next_if(|(tk, _)| tk < k).is_some() {}
+            match theirs.next_if(|(tk, _)| tk == k) {
+                Some((_, tv)) => {
+                    changed |= v.join(tv, widen);
+                    true
+                }
+                None => {
+                    changed = true;
+                    false
+                }
+            }
+        });
         if changed {
             self.ascent = self.ascent.max(other.ascent).saturating_add(1);
         }
@@ -631,7 +747,7 @@ impl Transfer for VsaAnalysis {
                 if prog.call_allocates(id) {
                     fact.regs[Reg::Eax.index()] = Vsv::offset_in(Region::Heap(id), 0);
                 }
-                for v in fact.frame.values_mut() {
+                for (_, v) in &mut fact.frame {
                     *v = Vsv::Top;
                 }
             }
@@ -654,6 +770,8 @@ pub struct MemOp {
     pub is_write: bool,
     /// The abstract address of the access.
     pub addr: Vsv,
+    /// The stack pointer's value set before the accessing instruction.
+    pub esp: Vsv,
 }
 
 /// A discrete abstract location a memory operand resolves to.
@@ -708,28 +826,39 @@ pub fn enumerate_alocs(addr: &Vsv) -> (Vec<ALoc>, bool) {
     (out, exact)
 }
 
-/// The VSA fixpoint of one function plus its resolved memory operands.
+/// The VSA fixpoint of one function: its block graph, the fact on entry
+/// to each block and which blocks are reached. Per-instruction facts are
+/// not stored; [`walk`](Self::walk) replays them.
 #[derive(Debug, Clone)]
 pub struct VsaResult {
     /// The analyzed function.
     pub func: FuncId,
-    solution: Solution<VsaFact>,
+    cfg: BlockCfg,
+    entry: Vec<VsaFact>,
+    reached: Vec<bool>,
 }
 
 impl VsaResult {
-    /// The fact before `id` (program order).
-    pub fn before(&self, id: InstId) -> &VsaFact {
-        self.solution.before(id)
+    /// The block graph the fixpoint ran on.
+    pub fn cfg(&self) -> &BlockCfg {
+        &self.cfg
     }
 
-    /// The fact after `id`.
-    pub fn after(&self, id: InstId) -> &VsaFact {
-        self.solution.after(id)
-    }
-
-    /// `true` if `id`'s block was reached from the entry.
-    pub fn reached(&self, id: InstId) -> bool {
-        self.solution.reached(id)
+    /// Calls `visit` with every reached instruction and the fact before it,
+    /// in program order, replaying each reached block from its entry fact.
+    pub fn walk(&self, prog: &Program, mut visit: impl FnMut(InstId, &VsaFact)) {
+        let analysis = VsaAnalysis::new(self.func);
+        let mut fact = VsaFact::unreached();
+        for (bi, blk) in self.cfg.blocks().iter().enumerate() {
+            if !self.reached[bi] {
+                continue;
+            }
+            fact.clone_from(&self.entry[bi]);
+            for id in blk.insts() {
+                visit(id, &fact);
+                analysis.apply(prog, id, &mut fact);
+            }
+        }
     }
 
     /// Every memory operand of the function with its abstract address
@@ -737,14 +866,11 @@ impl VsaResult {
     /// not listed).
     pub fn mem_ops(&self, prog: &Program) -> Vec<MemOp> {
         let mut out = Vec::new();
-        for id in prog.func(self.func).inst_ids() {
-            if !self.reached(id) {
-                continue;
-            }
-            let fact = self.before(id);
+        self.walk(prog, |id, fact| {
+            let esp = *fact.reg(Reg::Esp);
             let mut push = |opr: Operand, is_write: bool| {
                 if let Operand::Deref(loc) = opr {
-                    out.push(MemOp { inst: id, opr, is_write, addr: fact.eval_addr(loc) });
+                    out.push(MemOp { inst: id, opr, is_write, addr: fact.eval_addr(loc), esp });
                 }
             };
             match &prog.inst(id).kind {
@@ -770,14 +896,16 @@ impl VsaResult {
                 }
                 InstKind::Ret => {}
             }
-        }
+        });
         out
     }
 }
 
 /// Runs VSA over one function.
 pub fn vsa_function(prog: &Program, func: FuncId) -> VsaResult {
-    VsaResult { func, solution: solve(prog, func, &VsaAnalysis::new(func)) }
+    let cfg = BlockCfg::intra(prog, func);
+    let (entry, reached) = fixpoint(prog, &cfg, &VsaAnalysis::new(func));
+    VsaResult { func, cfg, entry, reached }
 }
 
 /// Runs VSA over every function, in function order. Functions are
@@ -806,9 +934,9 @@ fn totals(func: FuncId, ops: &[MemOp]) -> VsaTotals {
         match op.addr.regions() {
             None => t.top += 1,
             Some(m) => {
-                if m.keys().any(|r| matches!(r, Region::Heap(_))) {
+                if m.iter().any(|(r, _)| matches!(r, Region::Heap(_))) {
                     t.heap += 1;
-                } else if m.contains_key(&Region::Frame(func)) {
+                } else if m.get(Region::Frame(func)).is_some() {
                     t.frame += 1;
                 } else {
                     t.global += 1;
@@ -903,6 +1031,17 @@ mod tests {
         Operand::reg(r)
     }
 
+    /// The fact before `id`, replayed by [`VsaResult::walk`].
+    fn before(p: &Program, res: &VsaResult, id: InstId) -> VsaFact {
+        let mut found = None;
+        res.walk(p, |at, fact| {
+            if at == id {
+                found = Some(fact.clone());
+            }
+        });
+        found.expect("the instruction is reached")
+    }
+
     #[test]
     fn strided_interval_basics() {
         let s = StridedInterval::new(4, 0, 13);
@@ -972,7 +1111,7 @@ mod tests {
         b.end_func();
         let p = b.finish().unwrap();
         let res = vsa_function(&p, FuncId(0));
-        let fact = res.before(store);
+        let fact = before(&p, &res, store);
         // entry esp = 0; after sub esp,0x20 esp = -0x20; lea base = -0x18;
         // the store hits frame slot -0x14.
         let addr = fact.eval_addr(Loc::with_offset(Reg::Esi, 4));
@@ -994,7 +1133,7 @@ mod tests {
         b.end_func();
         let p = b.finish().unwrap();
         let res = vsa_function(&p, FuncId(0));
-        let addr = res.before(store).eval_addr(Loc::with_offset(Reg::Eax, 8));
+        let addr = before(&p, &res, store).eval_addr(Loc::with_offset(Reg::Eax, 8));
         assert_eq!(addr.singleton_in(Region::Heap(call)), Some(8));
         let (alocs, exact) = enumerate_alocs(&addr);
         assert!(exact);
@@ -1030,9 +1169,10 @@ mod tests {
         b.end_func();
         let p = b.finish().unwrap();
         let res = vsa_function(&p, FuncId(0));
-        let v = res.before(after).reg(Reg::Esi);
+        let fact = before(&p, &res, after);
+        let v = fact.reg(Reg::Esi);
         let m = v.regions().expect("esi stays frame-tagged");
-        let si = m[&Region::Frame(FuncId(0))];
+        let si = m.get(Region::Frame(FuncId(0))).unwrap();
         // Every reachable concrete value (-0x40 + 4k, k ≥ 1) is covered.
         for k in 1..200 {
             assert!(si.contains(-0x40 + 4 * k), "missing -0x40+{}", 4 * k);
@@ -1062,13 +1202,13 @@ mod tests {
         let p = b.finish().unwrap();
         let res = vsa_function(&p, FuncId(0));
         let frame = Region::Frame(FuncId(0));
-        let fact = res.before(probe);
+        let fact = before(&p, &res, probe);
         assert_eq!(fact.reg(Reg::Ebp).singleton_in(frame), Some(-4), "ebp = entry esp - 4");
         assert_eq!(fact.reg(Reg::Esp).singleton_in(frame), Some(-0x44));
         // [ebp-8] is entry-esp -12.
         assert_eq!(fact.eval_addr(Loc::with_offset(Reg::Ebp, -8)).singleton_in(frame), Some(-12));
         // The epilogue rebalances esp to 0 at ret.
-        assert_eq!(res.before(ret).reg(Reg::Esp).singleton_in(frame), Some(0));
+        assert_eq!(before(&p, &res, ret).reg(Reg::Esp).singleton_in(frame), Some(0));
     }
 
     #[test]

@@ -20,8 +20,13 @@
 //!   all           everything above
 //! ```
 //!
-//! A malformed flag or an unknown command exits with status 2.
+//! A malformed flag or an unknown command exits with status 2. A `--json`
+//! artifact that cannot be created, or a suite that fails the verifier gate,
+//! exits with status 1 and a one-line message; the artifact file is created
+//! before the experiment runs, so an unwritable `--out` fails at once.
 
+use std::fs::File;
+use std::io::Write as _;
 use std::process::ExitCode;
 use tiara::{ClassifierConfig, Slicer};
 use tiara_eval::report::{
@@ -89,20 +94,70 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// A failure after the arguments parsed.
+#[derive(Debug)]
+enum RunError {
+    /// The `--json` artifact could not be created or written.
+    Artifact { path: String, source: std::io::Error },
+    /// A generated suite failed the verifier gate.
+    Verify(String),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Artifact { path, source } => write!(f, "writing {path}: {source}"),
+            RunError::Verify(report) => write!(f, "{report}"),
+        }
+    }
+}
+
+/// The `--json` artifact, created before its experiment runs.
+struct Artifact {
+    path: String,
+    file: File,
+}
+
+impl Artifact {
+    /// Creates the artifact at `--out` (or `default`) if `--json` was given.
+    fn create(opts: &Options, default: &str) -> Result<Option<Artifact>, RunError> {
+        if !opts.json {
+            return Ok(None);
+        }
+        let path = opts.out.clone().unwrap_or_else(|| default.to_owned());
+        match File::create(&path) {
+            Ok(file) => Ok(Some(Artifact { path, file })),
+            Err(source) => Err(RunError::Artifact { path, source }),
+        }
+    }
+
+    fn write(mut self, body: &str) -> Result<(), RunError> {
+        match self.file.write_all(body.as_bytes()) {
+            Ok(()) => {
+                eprintln!("[tiara-eval] wrote {}", self.path);
+                Ok(())
+            }
+            Err(source) => Err(RunError::Artifact { path: self.path, source }),
+        }
+    }
+}
+
+fn verify_suite(bins: &[tiara_synth::Binary]) -> Result<(), RunError> {
+    eprintln!("[tiara-eval] verifying the suite …");
+    tiara_eval::verify_suite(bins).map_err(RunError::Verify)
+}
+
 fn classifier_config(opts: &Options) -> ClassifierConfig {
     ClassifierConfig { epochs: opts.epochs, seed: opts.seed, ..ClassifierConfig::default() }
 }
 
-fn build_suites(opts: &Options) -> (SlicedSuite, SlicedSuite) {
+fn build_suites(opts: &Options) -> Result<(SlicedSuite, SlicedSuite), RunError> {
     eprintln!(
         "[tiara-eval] generating the 8-project suite (scale {}, seed {}) …",
         opts.scale, opts.seed
     );
     let bins = build_suite(opts.seed, opts.scale);
-    eprintln!("[tiara-eval] verifying the suite …");
-    if let Err(e) = tiara_eval::verify_suite(&bins) {
-        panic!("{e}");
-    }
+    verify_suite(&bins)?;
     eprintln!("[tiara-eval] slicing with TSLICE ({} threads) …", opts.threads);
     let t = SlicedSuite::build(&bins, &Slicer::default(), opts.threads);
     eprintln!(
@@ -113,7 +168,7 @@ fn build_suites(opts: &Options) -> (SlicedSuite, SlicedSuite) {
     eprintln!("[tiara-eval] slicing with SSLICE …");
     let s = SlicedSuite::build(&bins, &Slicer::Sslice, opts.threads);
     eprintln!("[tiara-eval]   SSLICE done in {:.1}s", s.total_slice_secs());
-    (t, s)
+    Ok((t, s))
 }
 
 fn run_rows(
@@ -159,6 +214,13 @@ fn main() -> ExitCode {
     // `--threads` everywhere, not just in the slicing fan-out.
     tiara_par::set_global_threads(opts.threads);
 
+    run(&opts).unwrap_or_else(|e| {
+        eprintln!("tiara-eval: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run(opts: &Options) -> Result<ExitCode, RunError> {
     match opts.command.as_str() {
         "fig2" => {
             println!("{}", tiara_eval::fig2::render_figure2());
@@ -169,7 +231,7 @@ fn main() -> ExitCode {
             eprintln!("[tiara-eval] ablating TSLICE configurations on `{}` …", clang.name);
             let rows = tiara_eval::ablation::run_ablation(
                 &clang,
-                &classifier_config(&opts),
+                &classifier_config(opts),
                 opts.seed,
                 opts.threads,
             );
@@ -184,6 +246,7 @@ fn main() -> ExitCode {
             println!("{}", tiara_eval::ablation::render_model_ablation(&model_rows));
         }
         "escape" => {
+            let artifact = Artifact::create(opts, "ESCAPE_PR6.json")?;
             eprintln!(
                 "[tiara-eval] escape-through-call experiment (scale {}, seed {}, {} epochs) …",
                 opts.scale, opts.seed, opts.epochs
@@ -191,47 +254,39 @@ fn main() -> ExitCode {
             let r = tiara_eval::run_escape_experiment(
                 opts.seed,
                 opts.scale,
-                &classifier_config(&opts),
+                &classifier_config(opts),
                 opts.threads,
             );
             print!("{}", tiara_eval::render_escape_report(&r));
-            if opts.json {
-                let path = opts.out.clone().unwrap_or_else(|| "ESCAPE_PR6.json".to_owned());
-                std::fs::write(&path, tiara_eval::render_escape_json(&r, opts.seed, opts.scale))
-                    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                eprintln!("[tiara-eval] wrote {path}");
+            if let Some(artifact) = artifact {
+                artifact.write(&tiara_eval::render_escape_json(&r, opts.seed, opts.scale))?;
             }
         }
         "discovery" => {
+            let artifact = Artifact::create(opts, "DISCOVERY_PR7.json")?;
             eprintln!(
                 "[tiara-eval] variable-discovery experiment (scale {}, seed {}) …",
                 opts.scale, opts.seed
             );
             let r = tiara_eval::run_discovery_experiment(opts.seed, opts.scale);
             print!("{}", tiara_eval::render_discovery_report(&r));
-            if opts.json {
-                let path = opts.out.clone().unwrap_or_else(|| "DISCOVERY_PR7.json".to_owned());
-                std::fs::write(&path, tiara_eval::render_discovery_json(&r, opts.seed, opts.scale))
-                    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                eprintln!("[tiara-eval] wrote {path}");
+            if let Some(artifact) = artifact {
+                artifact.write(&tiara_eval::render_discovery_json(&r, opts.seed, opts.scale))?;
             }
             if r.oracle_errors > 0 {
                 eprintln!(
                     "[tiara-eval] ERROR: {} verifier errors across the discovery suite",
                     r.oracle_errors
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         "extended" => {
             eprintln!("[tiara-eval] building the 6-class extension suite (scale {}) …", opts.scale);
             let bins = tiara_eval::build_extended_suite(opts.seed, opts.scale);
-            eprintln!("[tiara-eval] verifying the suite …");
-            if let Err(e) = tiara_eval::verify_suite(&bins) {
-                panic!("{e}");
-            }
+            verify_suite(&bins)?;
             let suite = SlicedSuite::build(&bins, &Slicer::default(), opts.threads);
-            let cfg = classifier_config(&opts);
+            let cfg = classifier_config(opts);
             let results: Vec<_> = tiara_eval::extended_experiments()
                 .iter()
                 .map(|spec| {
@@ -248,18 +303,18 @@ fn main() -> ExitCode {
             println!("{}", render_table1(&table1(&bins)));
         }
         "table3" => {
-            let (t, s) = build_suites(&opts);
+            let (t, s) = build_suites(opts)?;
             println!("{}", render_table3(&table3(&t, &s)));
         }
         "table2-intra" | "table2-cross" | "table4" | "all" => {
-            let suites = build_suites(&opts);
+            let suites = build_suites(opts)?;
             let intra = intra_experiments();
             let cross = cross_experiments();
             let mut t4_t = Vec::new();
             let mut t4_s = Vec::new();
 
             if opts.command != "table2-cross" {
-                let (res, tt, ts) = run_rows(&suites, &intra, &opts);
+                let (res, tt, ts) = run_rows(&suites, &intra, opts);
                 println!("\nTABLE II — INTRA-PROJECT (RQ1, RQ3)");
                 println!("{}", render_table2_rows(&res));
                 println!("{}", render_table2_summary(&res));
@@ -267,7 +322,7 @@ fn main() -> ExitCode {
                 t4_s.extend(ts);
             }
             if opts.command != "table2-intra" {
-                let (res, tt, ts) = run_rows(&suites, &cross, &opts);
+                let (res, tt, ts) = run_rows(&suites, &cross, opts);
                 println!("\nTABLE II — CROSS-PROJECT (RQ2, RQ3)");
                 println!("{}", render_table2_rows(&res));
                 println!("{}", render_table2_summary(&res));
@@ -283,8 +338,8 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!("unknown command `{other}`\n{}", usage());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -78,3 +78,19 @@ fn seed_above_i64_max_is_a_usage_error() {
     }
     assert_eq!(run("9223372036854775807").status.code(), Some(0));
 }
+
+#[test]
+fn unwritable_artifact_path_fails_before_the_experiment() {
+    let out = "/nonexistent-dir/x.json";
+    for command in ["escape", "discovery"] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_tiara-eval"))
+            .args([command, "--scale", "0.01", "--epochs", "1", "--json", "--out", out])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains(out), "{command}: names the path: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert!(!stderr.contains("experiment"), "{command}: ran before failing: {stderr}");
+    }
+}

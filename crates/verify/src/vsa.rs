@@ -30,7 +30,6 @@
 use crate::{Diagnostic, PassId};
 use std::collections::HashMap;
 use tiara_dataflow::vsa::{vsa_function, Region, VsaResult, Vsv};
-use tiara_dataflow::BlockCfg;
 use tiara_ir::{FuncId, InstId, InstKind, Loc, Operand, Program, Reg};
 
 /// Frame-slot accesses above `entry esp + frame allocation + ARG_WINDOW`
@@ -96,8 +95,7 @@ fn check_frame_accesses(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnos
     for op in res.mem_ops(prog) {
         let Some(off) = op.addr.singleton_in(frame) else { continue };
         slots.push((off, op.inst));
-        let esp = res.before(op.inst).reg(Reg::Esp).singleton_in(frame);
-        if let Some(esp) = esp {
+        if let Some(esp) = op.esp.singleton_in(frame) {
             if off < esp {
                 diags.push(
                     Diagnostic::error(
@@ -152,11 +150,11 @@ fn check_frame_accesses(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnos
 /// the return-address slot.
 fn check_esp_balance(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnostic>) {
     let frame = Region::Frame(res.func);
-    for id in prog.func(res.func).inst_ids() {
-        if !matches!(prog.inst(id).kind, InstKind::Ret) || !res.reached(id) {
-            continue;
+    res.walk(prog, |id, fact| {
+        if !matches!(prog.inst(id).kind, InstKind::Ret) {
+            return;
         }
-        match res.before(id).reg(Reg::Esp).singleton_in(frame) {
+        match fact.reg(Reg::Esp).singleton_in(frame) {
             Some(0) => {}
             Some(off) => diags.push(
                 Diagnostic::error(
@@ -176,14 +174,14 @@ fn check_esp_balance(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnostic
                     format!(
                         "cannot prove esp is balanced at this `ret` of `{}` (value set: {})",
                         prog.func(res.func).name,
-                        res.before(id).reg(Reg::Esp)
+                        fact.reg(Reg::Esp)
                     ),
                 )
                 .in_func(res.func)
                 .at(id),
             ),
         }
-    }
+    });
 }
 
 /// The oracle's concrete machine: eight registers and a sparse memory.
@@ -236,23 +234,21 @@ impl Machine {
 /// and checks each observed memory-operand address against the abstract
 /// value set at that point.
 fn check_soundness(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnostic>) {
-    if BlockCfg::intra(prog, res.func).num_blocks() != 1 {
+    if res.cfg().num_blocks() != 1 {
         return;
     }
     let mut m = Machine::new();
-    for id in prog.func(res.func).inst_ids() {
-        if !res.reached(id) {
-            break;
-        }
+    // The one block is the entry, so the walk visits every instruction.
+    res.walk(prog, |id, fact| {
         // Checks one memory operand: the concrete address must be a member
         // of the abstract address set computed for it (⊤ trivially covers).
         let mut check = |m: &Machine, opr: Operand, addr: i64| {
             let Operand::Deref(loc) = opr else { return };
-            let abs = res.before(id).eval_addr(loc);
+            let abs = fact.eval_addr(loc);
             let (region, off) = m.classify(res.func, addr);
             let covered = match &abs {
                 Vsv::Top => true,
-                Vsv::Set(map) => map.get(&region).is_some_and(|si| si.contains(off)),
+                Vsv::Set(map) => map.get(region).is_some_and(|si| si.contains(off)),
             };
             if !covered {
                 diags.push(
@@ -365,9 +361,9 @@ fn check_soundness(prog: &Program, res: &VsaResult, diags: &mut Vec<Diagnostic>)
                     m.regs[Reg::Eax.index()] = HEAP0 + k * HEAP_BLOCK;
                 }
             }
-            InstKind::Ret => break,
+            InstKind::Ret => {}
         }
-    }
+    });
 }
 
 #[cfg(test)]
